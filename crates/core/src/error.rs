@@ -150,10 +150,11 @@ pub enum Error {
     /// tensors. Silently replacing it would zero `used_pages`/`tenant_bytes`
     /// under the residents and corrupt every stat and gauge afterwards.
     PoolInUse { device: DeviceId, used_pages: usize },
-    /// A [`crate::replan::ReplanDelta`] is malformed (out-of-range or
-    /// duplicate layer index, layer-count change without a step list, a step
-    /// referencing a missing layer, ...). The planner rejects it without
-    /// mutating its state, so the previous plan stays live.
+    /// A [`crate::replan::ReplanDelta`] or a scheduler input is malformed
+    /// (empty model, out-of-range or duplicate layer index, layer-count
+    /// change without a step list, a step referencing a missing layer,
+    /// ...). The planner rejects it without mutating its state, so the
+    /// previous plan stays live.
     BadReplanDelta(&'static str),
     /// A [`crate::ClusterEvent::ServerLoss`] destroyed the entire fleet:
     /// no server survives to replan onto. Earlier versions silently

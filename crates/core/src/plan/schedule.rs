@@ -41,12 +41,11 @@ impl SchedulePlan {
         Self::build_with_planner(config, shard, mem, zero, &mut None)
     }
 
-    /// [`SchedulePlan::build`] through a persistent incremental
-    /// [`Planner`] session. When `planner` holds a session with the same
-    /// scheduler configuration, the new shard input is planned as a
-    /// [`ReplanDelta`] against the previous one — the segment-tree fast
-    /// path that reuses untouched layers' decisions and task slots — and
-    /// the session's [`crate::ReplanOutcome`] reports what carried over.
+    /// [`SchedulePlan::build`] through a persistent [`Planner`] session.
+    /// When `planner` holds a session with the same scheduler
+    /// configuration, the new shard input is planned as a [`ReplanDelta`]
+    /// against the previous one, reusing the session's buffers, and the
+    /// session's [`crate::ReplanOutcome`] reports what carried over.
     /// Otherwise (first plan, or a configuration change) a fresh session is
     /// created and stored. Either way the resulting schedule is
     /// byte-identical to [`UnifiedScheduler::schedule`] on `shard.input`,
@@ -172,7 +171,7 @@ mod tests {
                 .tasks
         );
 
-        // Second build with a tighter budget goes through the incremental
+        // Second build with a tighter budget goes through the warm
         // session and must still match a from-scratch plan of the new input.
         let mut tight = config.clone();
         tight.gpu_reserved *= 4;
@@ -187,7 +186,7 @@ mod tests {
         assert_eq!(second.schedule.stats, fresh.schedule.stats);
         let p = planner.as_ref().unwrap();
         assert_eq!(p.input(), &shard2.input);
-        assert!(p.last_outcome().triggers_total > 0);
+        assert!(!p.last_outcome().patched_in_place);
 
         // A scheduler-config change (phase-2 off) abandons the session and
         // rebuilds — the stored planner now carries the new configuration.

@@ -1,41 +1,41 @@
-//! Incremental replanning — the delta fast path over Algorithm 1.
+//! The Algorithm 1 planner session — the one implementation of the
+//! Unified Scheduler's decision phases that plans run through.
 //!
-//! A full [`UnifiedScheduler::schedule`] call at GPT-3-1T scale is dominated
-//! by the two O(pages) / O(tasks) passes: materializing the 10⁵-entry
-//! movement stack and emitting the ~10⁵-task trigger-sorted list. The
-//! *decisions* — which page runs evict, where they re-add, how far each
-//! all-gather advances — cost only O(steps · log steps), because PR 4's
-//! segment-tree timeline made every decision a range query.
+//! A plan at GPT-3-1T scale is dominated by its two O(pages) / O(tasks)
+//! passes: laying out the 10⁵-page movement stack and emitting the
+//! ~10⁵-task trigger-sorted list. The *decisions* — which page runs evict,
+//! where they re-add, how far each all-gather advances — cost only
+//! O(steps · log steps) on the segment-tree residency timeline
+//! (`crate::scheduler::TimelineState`).
 //!
-//! The [`Planner`] exploits that split. It keeps the previous plan's
-//! decision state in **run form** (one `[lo, hi)` page range per same-layer
-//! batch, exactly the batches the full planner's stack loops drain), so a
-//! [`ReplanDelta`] — layers touched, steps removed/added, capacity changed —
-//! replans by:
+//! The [`Planner`] keeps its decisions in **run form**: one `[lo, hi)` page
+//! range per same-layer batch, exactly the batches the per-page stack loops
+//! of the reference planner drain, found by binary searches on cached
+//! per-layer page-prefix sums. A session keeps its input, timeline,
+//! decisions and emitted schedule alive across [`Planner::replan`] calls,
+//! and serves a [`ReplanDelta`] — layers touched, steps removed/added,
+//! capacity changed — by one of two paths:
 //!
-//! 1. reverting the segment-tree timeline to its pre-decision baseline with
-//!    one memcpy ([`crate::seqtree::RangeAddMax::restore_from`]) and
-//!    patching only the touched layers' byte deltas as O(log steps) range
-//!    adds ([`TimelineState::reset_reverting`]);
-//! 2. re-running the decision phases over runs (binary searches on cached
-//!    per-layer page-prefix sums replace the per-page stack loops);
-//! 3. diffing the new decisions against the previous ones to find the
-//!    *dirty triggers*, and re-emitting only those slots of the
-//!    trigger-sorted task list — untouched layers' evict/re-add/prefetch
-//!    decisions and their task slots are preserved verbatim (`memcpy` of
-//!    clean regions, or pure in-place patching when the offsets are
-//!    unchanged).
+//! 1. **Empty delta or slack fast path.** An empty delta returns at once. A
+//!    working-set-only increase that fits inside every margin the last
+//!    decision pass recorded provably flips no greedy choice: it patches
+//!    the timeline at the touched steps and the peak statistic, and keeps
+//!    the decisions and the task list as they are.
+//! 2. **Full replan.** Otherwise the delta is applied, the timeline is
+//!    re-armed in place (reusing every buffer), the decision phases rerun
+//!    and the task list is re-emitted.
 //!
-//! The from-scratch planner remains the oracle: every incremental result is
-//! proven byte-identical (tasks, offsets, stats) to
-//! `UnifiedScheduler::schedule` on the mutated input by the unit tests and
-//! a proptest over random mutation sequences below. DESIGN.md §14 gives the
-//! delta model and the splice-soundness argument built on this identity.
+//! [`UnifiedScheduler::schedule`] is a one-shot session. The per-page
+//! reference `crate::scheduler::oracle` is the independent check: the unit
+//! tests and a proptest over random mutation sequences below prove every
+//! session state byte-identical (tasks, offsets, stats) to it. DESIGN.md
+//! §14 gives the delta model and the splice-soundness argument built on
+//! this identity.
 
 use crate::error::{Error, Result};
 use crate::scheduler::{
-    LayerPatch, LayerPlan, PlannedPage, Schedule, ScheduleStats, ScheduleTask, SchedulerInput,
-    StepKind, TaskOp, TimelineState, UnifiedScheduler,
+    LayerPlan, PlannedPage, Schedule, ScheduleStats, ScheduleTask, SchedulerInput, StepKind,
+    TaskOp, TimelineState, UnifiedScheduler,
 };
 use serde::{Deserialize, Serialize};
 
@@ -116,25 +116,24 @@ impl ReplanDelta {
     }
 }
 
-/// What an incremental replan reused versus recomputed — the observability
-/// payload behind the `plan.layers_reused` counter.
+/// What a replan reused versus recomputed — the observability payload
+/// behind the `plan.layers_reused` counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplanOutcome {
     /// Layers whose `LayerPlan` the delta replaced.
     pub layers_touched: usize,
-    /// Layers whose decisions *and* task slots carried over verbatim.
+    /// Layers whose decisions *and* task slots carried over verbatim: every
+    /// untouched layer on the fast path or an empty delta, none on a full
+    /// replan.
     pub layers_reused: usize,
-    /// Trigger slots that were re-emitted.
-    pub triggers_patched: usize,
-    /// Total trigger slots in the schedule.
-    pub triggers_total: usize,
-    /// Whether the task buffer was patched in place (offsets unchanged)
-    /// rather than rebuilt with clean-region memcpys.
+    /// Whether the previous decisions and task list were kept — the slack
+    /// fast path or an empty delta — rather than replanned in full.
     pub patched_in_place: bool,
 }
 
 /// A contiguous run of pages `[lo, hi)` of one layer — the unit the decision
-/// phases batch over (the full planner's maximal same-layer stack runs).
+/// phases batch over (a maximal same-layer run of the reference planner's
+/// movement stack).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Run {
     layer: usize,
@@ -143,7 +142,7 @@ struct Run {
 }
 
 /// A committed re-add: pages `[lo, hi)` of `layer` re-enter at `trigger`.
-/// Events are stored in the full planner's `rescheduled` push order
+/// Events are stored in the reference planner's `rescheduled` push order
 /// (triggers nondecreasing, pages ascending within an event).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ReaddEvent {
@@ -153,11 +152,9 @@ struct ReaddEvent {
     trigger: usize,
 }
 
-/// The incremental replanner: a persistent [`UnifiedScheduler`] session that
-/// keeps its input, timeline, decision runs and emitted schedule alive
-/// across [`Planner::replan`] calls, so each delta pays only for what it
-/// touches. `Planner::new` runs the same Algorithm 1 as
-/// [`UnifiedScheduler::schedule`]; every subsequent state is byte-identical
+/// A persistent [`UnifiedScheduler`] session: it keeps its input, timeline,
+/// decision runs and emitted schedule alive across [`Planner::replan`]
+/// calls, so each delta reuses every buffer. Every state is byte-identical
 /// to a from-scratch plan of the current input.
 pub struct Planner {
     sched: UnifiedScheduler,
@@ -167,27 +164,17 @@ pub struct Planner {
     /// cache that turns per-page stack loops into binary searches. Rebuilt
     /// only for layers whose page list changed.
     page_prefix: Vec<Vec<u64>>,
-    // Current decisions.
+    // Current decisions (gather triggers live in the timeline).
     moves: Vec<Run>,
     readds: Vec<ReaddEvent>,
-    gather: Vec<usize>,
     gathers_advanced: usize,
-    // Previous decisions (diff source).
-    prev_moves: Vec<Run>,
-    prev_readds: Vec<ReaddEvent>,
-    prev_gather: Vec<usize>,
     // The live schedule, byte-identical to a full plan of `input`.
     schedule: Schedule,
     // Scratch buffers reused across replans.
     wait: Vec<Run>,
-    scratch_tasks: Vec<ScheduleTask>,
-    tmp_tasks: Vec<ScheduleTask>,
     trig_off: Vec<usize>,
     trig_cur: Vec<usize>,
     trig_steps: Vec<usize>,
-    new_off: Vec<usize>,
-    dirty: Vec<bool>,
-    changed_layers: Vec<bool>,
     last_outcome: ReplanOutcome,
     // Decision-margin evidence recorded by the last full `plan_decisions`
     // pass, consumed by the slack fast path (see `try_slack_fast_path`).
@@ -206,9 +193,15 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// Plan `input` from scratch and open an incremental session.
+    /// Plan `input` from scratch and open a session.
     pub fn new(sched: UnifiedScheduler, input: SchedulerInput) -> Result<Self> {
-        validate_input(&input)?;
+        check_input(
+            input.layers.len(),
+            |l| &input.layers[l],
+            &input.steps,
+            &input.step_base_load,
+            input.gpu_budget,
+        )?;
         let timeline = TimelineState::new(&input);
         let mut planner = Self {
             sched,
@@ -217,53 +210,36 @@ impl Planner {
             input,
             moves: Vec::new(),
             readds: Vec::new(),
-            gather: Vec::new(),
             gathers_advanced: 0,
-            prev_moves: Vec::new(),
-            prev_readds: Vec::new(),
-            prev_gather: Vec::new(),
-            schedule: Schedule {
-                tasks: Vec::new(),
-                stats: ScheduleStats {
-                    pages_resident: 0,
-                    pages_cpu_bound: 0,
-                    peak_gpu_bytes: 0,
-                    resident_fraction: 0.0,
-                    gathers_advanced: 0,
-                },
-                num_steps: 0,
-                trigger_offsets: Vec::new(),
-            },
+            schedule: Schedule::default(),
             wait: Vec::new(),
-            scratch_tasks: Vec::new(),
-            tmp_tasks: Vec::new(),
             trig_off: Vec::new(),
             trig_cur: Vec::new(),
             trig_steps: Vec::new(),
-            new_off: Vec::new(),
-            dirty: Vec::new(),
-            changed_layers: Vec::new(),
             last_outcome: ReplanOutcome::default(),
             slack: Vec::new(),
             p2_spans: Vec::new(),
             poisoned: Vec::new(),
         };
         planner.plan_decisions();
-        planner.emit(false);
+        planner.emit();
         planner.last_outcome = ReplanOutcome {
             layers_touched: planner.input.layers.len(),
             layers_reused: 0,
-            triggers_patched: planner.input.steps.len(),
-            triggers_total: planner.input.steps.len(),
             patched_in_place: false,
         };
         Ok(planner)
     }
 
-    /// The current schedule — byte-identical to
-    /// `UnifiedScheduler::schedule(&self.input())`.
+    /// The current schedule — byte-identical to a from-scratch plan of
+    /// [`Self::input`].
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
+    }
+
+    /// Close the session, keeping its schedule.
+    pub fn into_schedule(self) -> Schedule {
+        self.schedule
     }
 
     /// The current (post-delta) scheduler input.
@@ -281,21 +257,27 @@ impl Planner {
         self.last_outcome
     }
 
-    /// Apply `delta` and replan incrementally. On `Err` the planner is
-    /// untouched (validation and feasibility run before any mutation) and
-    /// the previous schedule stays live.
+    /// Apply `delta` and replan. On `Err` the planner is untouched
+    /// (validation and feasibility run before any mutation) and the previous
+    /// schedule stays live.
     pub fn replan(&mut self, delta: &ReplanDelta) -> Result<ReplanOutcome> {
-        // ---- Validate against the prospective input; mutate nothing. ----
         let n_old = self.input.layers.len();
+        if delta.is_empty() {
+            self.last_outcome = ReplanOutcome {
+                layers_touched: 0,
+                layers_reused: n_old,
+                patched_in_place: true,
+            };
+            return Ok(self.last_outcome);
+        }
+
+        // ---- Validate against the prospective input; mutate nothing. ----
         let n_new = delta.replace_layers.as_ref().map_or(n_old, Vec::len);
         if let Some(rl) = &delta.replace_layers {
             if !delta.layers.is_empty() {
                 return Err(Error::BadReplanDelta(
                     "replace_layers and per-index layers are mutually exclusive",
                 ));
-            }
-            if rl.is_empty() {
-                return Err(Error::BadReplanDelta("replace_layers with empty model"));
             }
             if rl.len() != n_old && delta.steps.is_none() {
                 return Err(Error::BadReplanDelta(
@@ -313,40 +295,19 @@ impl Planner {
             }
             replaced_at[*idx] = Some(k);
         }
-        let steps: &[StepKind] = delta.steps.as_deref().unwrap_or(&self.input.steps);
-        let base: &[u64] = delta
-            .step_base_load
-            .as_deref()
-            .unwrap_or(&self.input.step_base_load);
-        let budget = delta.gpu_budget.unwrap_or(self.input.gpu_budget);
-        let mut covered = vec![false; n_new];
-        let look = |l: usize| -> &LayerPlan {
-            if let Some(rl) = &delta.replace_layers {
-                &rl[l]
-            } else if let Some(k) = replaced_at[l] {
-                &delta.layers[k].1
-            } else {
-                &self.input.layers[l]
-            }
-        };
-        for (j, s) in steps.iter().enumerate() {
-            let l = s.layer();
-            if l >= n_new {
-                return Err(Error::BadReplanDelta("step references a missing layer"));
-            }
-            covered[l] = true;
-            let lp = look(l);
-            let need = lp.full_param_bytes + lp.working_set + base.get(j).copied().unwrap_or(0);
-            if need > budget {
-                return Err(Error::WorkingSetTooLarge {
-                    layer_bytes: need,
-                    gpu_bytes: budget,
-                });
-            }
-        }
-        if covered.iter().any(|&c| !c) {
-            return Err(Error::BadReplanDelta("a layer has no compute step"));
-        }
+        check_input(
+            n_new,
+            |l| match &delta.replace_layers {
+                Some(rl) => &rl[l],
+                None => replaced_at[l].map_or(&self.input.layers[l], |k| &delta.layers[k].1),
+            },
+            delta.steps.as_deref().unwrap_or(&self.input.steps),
+            delta
+                .step_base_load
+                .as_deref()
+                .unwrap_or(&self.input.step_base_load),
+            delta.gpu_budget.unwrap_or(self.input.gpu_budget),
+        )?;
 
         // ---- Slack fast path. ----
         // A working-set-only increase that fits inside every recorded
@@ -358,7 +319,6 @@ impl Planner {
             && delta.replace_layers.is_none()
             && delta.gpu_budget.is_none()
             && delta.page_size.is_none()
-            && !delta.layers.is_empty()
         {
             if let Some(outcome) = self.try_slack_fast_path(&delta.layers) {
                 self.last_outcome = outcome;
@@ -366,47 +326,22 @@ impl Planner {
             }
         }
 
-        // ---- Apply the delta. ----
-        let full_reset = delta.steps.is_some()
-            || delta.step_base_load.is_some()
-            || delta.replace_layers.is_some();
-        // (layer, old totals, new totals) patches for the revert path.
-        let mut patches: Vec<LayerPatch> = Vec::new();
-        let mut layers_touched = 0usize;
-        self.changed_layers.clear();
-        self.changed_layers.resize(n_new, false);
-        if let Some(rl) = &delta.replace_layers {
+        // ---- Apply the delta and replan in full. ----
+        let layers_touched = if let Some(rl) = &delta.replace_layers {
             self.input.layers.clone_from(rl);
             self.page_prefix.clear();
             self.page_prefix
                 .extend(self.input.layers.iter().map(prefix_of));
-            layers_touched = n_new;
-            for c in &mut self.changed_layers {
-                *c = true;
-            }
+            n_new
         } else {
             for (idx, lp) in &delta.layers {
-                let old = &self.input.layers[*idx];
-                let old_tot = (
-                    self.page_prefix[*idx].last().copied().unwrap_or(0),
-                    old.full_param_bytes,
-                    old.working_set,
-                );
-                let pages_changed = old.shard_pages != lp.shard_pages;
-                self.input.layers[*idx] = lp.clone();
-                if pages_changed {
+                if self.input.layers[*idx].shard_pages != lp.shard_pages {
                     self.page_prefix[*idx] = prefix_of(lp);
                 }
-                let new_tot = (
-                    self.page_prefix[*idx].last().copied().unwrap_or(0),
-                    lp.full_param_bytes,
-                    lp.working_set,
-                );
-                patches.push((*idx, old_tot, new_tot));
-                self.changed_layers[*idx] = pages_changed;
-                layers_touched += 1;
+                self.input.layers[*idx] = lp.clone();
             }
-        }
+            delta.layers.len()
+        };
         if let Some(s) = &delta.steps {
             self.input.steps.clone_from(s);
         }
@@ -419,50 +354,15 @@ impl Planner {
         if let Some(p) = delta.page_size {
             self.input.page_size = p;
         }
-
-        // ---- Re-arm the timeline and redo the decision phases. ----
-        std::mem::swap(&mut self.moves, &mut self.prev_moves);
-        std::mem::swap(&mut self.readds, &mut self.prev_readds);
-        std::mem::swap(&mut self.gather, &mut self.prev_gather);
-        if full_reset {
-            self.timeline.reset(&self.input, true);
-        } else {
-            self.timeline.reset_reverting(&self.input, &patches);
-        }
+        self.timeline.reset(&self.input, delta.steps.is_some());
         self.plan_decisions();
-
-        // ---- Diff decisions → dirty triggers → patch the emission. ----
-        let n_steps = self.input.steps.len();
-        let diffable = !full_reset;
-        if diffable {
-            // `changed_layers` marks layers whose *emitted pages* changed;
-            // widen it with decision changes during the dirty walk, then
-            // derive `layers_reused` (untouched + unchanged decisions).
-            self.compute_dirty();
-        }
-        let (patched, in_place) = self.emit(diffable);
-        let mut reused = 0usize;
-        if diffable {
-            for (l, &changed) in self.changed_layers.iter().enumerate() {
-                let touched = if delta.replace_layers.is_some() {
-                    true
-                } else {
-                    replaced_at[l].is_some()
-                };
-                if !changed && !touched {
-                    reused += 1;
-                }
-            }
-        }
-        let outcome = ReplanOutcome {
+        self.emit();
+        self.last_outcome = ReplanOutcome {
             layers_touched,
-            layers_reused: reused,
-            triggers_patched: patched,
-            triggers_total: n_steps,
-            patched_in_place: in_place,
+            layers_reused: 0,
+            patched_in_place: false,
         };
-        self.last_outcome = outcome;
-        Ok(outcome)
+        Ok(self.last_outcome)
     }
 
     /// The delta fast path: commit a pure working-set *increase* without
@@ -490,9 +390,9 @@ impl Planner {
     ///   span keeps that stop point, and non-fired advances stay non-fired
     ///   because increases only move the blocking step later.
     ///
-    /// Decisions, task buffer, trigger layout and diff baselines are then
-    /// reused verbatim; only the live/baseline trees, the consumed margins
-    /// and the timeline-derived peak statistic are patched.
+    /// Decisions, task buffer and trigger layout are then reused verbatim;
+    /// only the timeline tree, the consumed margins and the timeline-derived
+    /// peak statistic are patched.
     fn try_slack_fast_path(&mut self, layers: &[(usize, LayerPlan)]) -> Option<ReplanOutcome> {
         // Certify every touched step before mutating anything.
         for (idx, lp) in layers {
@@ -552,15 +452,14 @@ impl Planner {
         Some(ReplanOutcome {
             layers_touched: layers.len(),
             layers_reused: self.input.layers.len() - layers.len(),
-            triggers_patched: 0,
-            triggers_total: self.input.steps.len(),
             patched_in_place: true,
         })
     }
 
-    /// Phase 1 + phase 2 over runs: the same greedy decisions as the full
-    /// planner's stack loops, with each maximal same-layer batch found by a
-    /// binary search on the page-prefix sums instead of a per-page walk.
+    /// Phase 1 + phase 2 over runs: the greedy decisions of the reference
+    /// planner's per-page stack loops, with each maximal same-layer batch
+    /// found by a binary search on the page-prefix sums instead of a
+    /// per-page walk.
     fn plan_decisions(&mut self) {
         let Self {
             input,
@@ -568,7 +467,6 @@ impl Planner {
             page_prefix,
             moves,
             readds,
-            gather,
             gathers_advanced,
             sched,
             wait,
@@ -733,137 +631,37 @@ impl Planner {
         *gathers_advanced = 0;
         if sched.phase2 {
             for i in 0..n_steps {
-                if timeline.advance_gather_recording(input, i, sched.prefetch_horizon, p2_spans) {
+                if timeline.advance_gather(input, i, sched.prefetch_horizon, p2_spans) {
                     *gathers_advanced += 1;
                 }
             }
         }
-        gather.clear();
-        gather.extend_from_slice(timeline.gather_triggers());
     }
 
-    /// Mark the triggers whose task slots differ from the previous plan and
-    /// widen `changed_layers` with every layer whose decisions moved.
-    fn compute_dirty(&mut self) {
-        let n_steps = self.input.steps.len();
-        self.dirty.clear();
-        self.dirty.resize(n_steps, false);
-        // Moves (all at trigger 0): merge-walk by layer.
-        {
-            let (mut a, mut b) = (0usize, 0usize);
-            while a < self.prev_moves.len() || b < self.moves.len() {
-                match (self.prev_moves.get(a), self.moves.get(b)) {
-                    (Some(x), Some(y)) if x.layer == y.layer => {
-                        if x != y || self.changed_layers[y.layer] {
-                            self.dirty[0] = true;
-                            self.changed_layers[y.layer] = true;
-                        }
-                        a += 1;
-                        b += 1;
-                    }
-                    (Some(x), Some(y)) => {
-                        self.dirty[0] = true;
-                        let l = if x.layer < y.layer {
-                            a += 1;
-                            x.layer
-                        } else {
-                            b += 1;
-                            y.layer
-                        };
-                        self.changed_layers[l] = true;
-                    }
-                    (Some(x), None) => {
-                        self.dirty[0] = true;
-                        self.changed_layers[x.layer] = true;
-                        a += 1;
-                    }
-                    (None, Some(y)) => {
-                        self.dirty[0] = true;
-                        self.changed_layers[y.layer] = true;
-                        b += 1;
-                    }
-                    (None, None) => break,
-                }
-            }
-        }
-        // Re-adds: group-compare by trigger (both lists trigger-sorted).
-        {
-            let (mut a, mut b) = (0usize, 0usize);
-            while a < self.prev_readds.len() || b < self.readds.len() {
-                let ta = self.prev_readds.get(a).map(|e| e.trigger);
-                let tb = self.readds.get(b).map(|e| e.trigger);
-                let t = match (ta, tb) {
-                    (Some(x), Some(y)) => x.min(y),
-                    (Some(x), None) => x,
-                    (None, Some(y)) => y,
-                    (None, None) => break,
-                };
-                let a2 = a + self.prev_readds[a..]
-                    .iter()
-                    .take_while(|e| e.trigger == t)
-                    .count();
-                let b2 = b + self.readds[b..]
-                    .iter()
-                    .take_while(|e| e.trigger == t)
-                    .count();
-                let (ga, gb) = (&self.prev_readds[a..a2], &self.readds[b..b2]);
-                if ga != gb {
-                    self.dirty[t] = true;
-                    for e in ga.iter().chain(gb) {
-                        self.changed_layers[e.layer] = true;
-                    }
-                } else if gb.iter().any(|e| self.changed_layers[e.layer]) {
-                    self.dirty[t] = true;
-                }
-                a = a2;
-                b = b2;
-            }
-        }
-        // Gathers: a moved trigger dirties both its old and new slot; an
-        // unmoved one only if the layer's page content changed.
-        for i in 0..n_steps {
-            let (g, pg) = (self.gather[i], self.prev_gather[i]);
-            if g != pg {
-                self.dirty[g] = true;
-                self.dirty[pg] = true;
-                self.changed_layers[self.input.steps[i].layer()] = true;
-            } else if self.changed_layers[self.input.steps[i].layer()] {
-                self.dirty[g] = true;
-            }
-        }
-    }
-
-    /// (Re)build the trigger-sorted task list and stats. With `diffed` the
-    /// dirty-trigger set drives a minimal re-emission: in-place slot patches
-    /// when the offset table is unchanged, otherwise a rebuild that memcpys
-    /// every clean slot from the previous task buffer. Returns
-    /// `(triggers re-emitted, patched in place)`.
-    fn emit(&mut self, diffed: bool) -> (usize, bool) {
+    /// Rebuild the trigger-sorted task list, its offset table and the stats
+    /// from the current decisions, reusing the task buffer's allocation.
+    fn emit(&mut self) {
         let Self {
             input,
             page_prefix,
             moves,
             readds,
-            gather,
             timeline,
             schedule,
-            scratch_tasks,
-            tmp_tasks,
             trig_off,
             trig_cur,
             trig_steps,
-            new_off,
-            dirty,
             gathers_advanced,
             ..
         } = self;
         let input = &*input;
         let n_steps = input.steps.len();
+        let gather = timeline.gather_triggers();
         // Counting sort of steps by gather trigger (ascending step within
         // each trigger — the emission interleave needs it).
         trig_off.clear();
         trig_off.resize(n_steps + 1, 0);
-        for &g in gather.iter() {
+        for &g in gather {
             trig_off[g + 1] += 1;
         }
         for i in 1..=n_steps {
@@ -876,66 +674,34 @@ impl Planner {
             trig_steps[trig_cur[g]] = i;
             trig_cur[g] += 1;
         }
-        // New offsets + byte/page stats in one O(runs + events + steps) pass.
-        new_off.clear();
-        new_off.resize(n_steps + 1, 0);
+        // Byte/page stats, and with them the task count: one move per
+        // resident page, one gather per shard page and one compute per step.
         let mut resident_pages = 0usize;
         let mut resident_bytes = 0u64;
-        for r in moves.iter() {
-            new_off[1] += r.hi - r.lo;
-            resident_pages += r.hi - r.lo;
-            resident_bytes += page_prefix[r.layer][r.hi] - page_prefix[r.layer][r.lo];
-        }
-        for e in readds.iter() {
-            new_off[e.trigger + 1] += e.hi - e.lo;
-            resident_pages += e.hi - e.lo;
-            resident_bytes += page_prefix[e.layer][e.hi] - page_prefix[e.layer][e.lo];
-        }
-        for (i, step) in input.steps.iter().enumerate() {
-            new_off[gather[i] + 1] += input.layers[step.layer()].shard_pages.len();
-            new_off[i + 1] += 1;
-        }
-        for i in 1..=n_steps {
-            new_off[i] += new_off[i - 1];
+        let runs = moves.iter().map(|r| (r.layer, r.lo, r.hi));
+        for (l, lo, hi) in runs.chain(readds.iter().map(|e| (e.layer, e.lo, e.hi))) {
+            resident_pages += hi - lo;
+            resident_bytes += page_prefix[l][hi] - page_prefix[l][lo];
         }
         let total_pages: usize = page_prefix.iter().map(|p| p.len() - 1).sum();
         let shard_bytes: u64 = page_prefix
             .iter()
             .map(|p| p.last().copied().unwrap_or(0))
             .sum();
-
-        let mut patched = 0usize;
-        let in_place = diffed && *new_off == schedule.trigger_offsets;
-        if in_place {
-            for t in 0..n_steps {
-                if !dirty[t] {
-                    continue;
-                }
-                patched += 1;
-                tmp_tasks.clear();
-                emit_trigger(input, moves, readds, trig_off, trig_steps, t, tmp_tasks);
-                let range = new_off[t]..new_off[t + 1];
-                debug_assert_eq!(tmp_tasks.len(), range.len());
-                schedule.tasks[range].copy_from_slice(tmp_tasks);
-            }
-        } else {
-            scratch_tasks.clear();
-            scratch_tasks.reserve(new_off[n_steps]);
-            // `t` indexes `dirty`, both offset tables and the task buffer.
-            #[allow(clippy::needless_range_loop)]
-            for t in 0..n_steps {
-                if diffed && !dirty[t] {
-                    // Clean slot: verbatim from the previous buffer.
-                    let old = schedule.trigger_offsets[t]..schedule.trigger_offsets[t + 1];
-                    scratch_tasks.extend_from_slice(&schedule.tasks[old]);
-                } else {
-                    patched += 1;
-                    emit_trigger(input, moves, readds, trig_off, trig_steps, t, scratch_tasks);
-                }
-            }
-            std::mem::swap(&mut schedule.tasks, scratch_tasks);
-            schedule.trigger_offsets.clone_from(new_off);
+        let step_tasks: usize = input
+            .steps
+            .iter()
+            .map(|s| input.layers[s.layer()].shard_pages.len() + 1)
+            .sum();
+        let (tasks, offsets) = (&mut schedule.tasks, &mut schedule.trigger_offsets);
+        tasks.clear();
+        tasks.reserve(resident_pages + step_tasks);
+        offsets.clear();
+        for t in 0..n_steps {
+            offsets.push(tasks.len());
+            emit_trigger(input, moves, readds, trig_off, trig_steps, t, tasks);
         }
+        offsets.push(tasks.len());
         schedule.num_steps = n_steps;
         schedule.stats = ScheduleStats {
             pages_resident: resident_pages,
@@ -948,7 +714,6 @@ impl Planner {
             },
             gathers_advanced: *gathers_advanced,
         };
-        (patched, in_place)
     }
 }
 
@@ -964,38 +729,45 @@ fn prefix_of(layer: &LayerPlan) -> Vec<u64> {
     p
 }
 
-/// The same input preconditions [`UnifiedScheduler::schedule`] enforces (or
-/// panics on), surfaced as errors so a bad session start cannot poison the
-/// incremental state.
-fn validate_input(input: &SchedulerInput) -> Result<()> {
-    if input.layers.is_empty() {
+/// The feasibility check every plan and replan runs before it touches any
+/// session state: a non-empty model, every step naming an existing layer,
+/// every layer computed at least once, and every step fitting the budget
+/// with nothing evictable resident (gathered parameters + working set +
+/// external base load). `layer(l)` resolves layer `l` of the checked —
+/// possibly prospective — input.
+fn check_input<'a>(
+    n_layers: usize,
+    layer: impl Fn(usize) -> &'a LayerPlan,
+    steps: &[StepKind],
+    base: &[u64],
+    budget: u64,
+) -> Result<()> {
+    if n_layers == 0 {
         return Err(Error::BadReplanDelta("empty model"));
     }
-    let mut covered = vec![false; input.layers.len()];
-    for s in &input.steps {
-        if s.layer() >= input.layers.len() {
+    let mut covered = vec![false; n_layers];
+    for (j, s) in steps.iter().enumerate() {
+        let l = s.layer();
+        if l >= n_layers {
             return Err(Error::BadReplanDelta("step references a missing layer"));
         }
-        covered[s.layer()] = true;
+        covered[l] = true;
+        let lp = layer(l);
+        let need = lp.full_param_bytes + lp.working_set + base.get(j).copied().unwrap_or(0);
+        if need > budget {
+            return Err(Error::WorkingSetTooLarge {
+                layer_bytes: need,
+                gpu_bytes: budget,
+            });
+        }
     }
     if covered.iter().any(|&c| !c) {
         return Err(Error::BadReplanDelta("a layer has no compute step"));
     }
-    for (j, s) in input.steps.iter().enumerate() {
-        let l = &input.layers[s.layer()];
-        let base = input.step_base_load.get(j).copied().unwrap_or(0);
-        let need = l.full_param_bytes + l.working_set + base;
-        if need > input.gpu_budget {
-            return Err(Error::WorkingSetTooLarge {
-                layer_bytes: need,
-                gpu_bytes: input.gpu_budget,
-            });
-        }
-    }
     Ok(())
 }
 
-/// Emit one trigger slot in the full planner's within-trigger order:
+/// Emit one trigger slot in the reference planner's within-trigger order:
 /// trigger-0 moves, re-add movements, then — walking the per-step loop order
 /// — step `t`'s own gather bundle (if not advanced away), step `t`'s
 /// compute, and the advanced gather bundles of later steps.
@@ -1075,6 +847,7 @@ fn gather_bundle(input: &SchedulerInput, step: usize, t: usize, out: &mut Vec<Sc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::oracle;
 
     /// A jagged toy model: per-layer page lists of different shapes so the
     /// delta machinery sees non-uniform runs.
@@ -1100,9 +873,9 @@ mod tests {
     }
 
     fn assert_matches(p: &Planner) {
-        let full = match p.scheduler().schedule(p.input()) {
+        let full = match oracle::schedule(p.scheduler(), p.input()) {
             Ok(s) => s,
-            Err(e) => panic!("full planner rejected a planner-accepted input: {e}"),
+            Err(e) => panic!("oracle rejected a planner-accepted input: {e}"),
         };
         assert_eq!(p.schedule().tasks, full.tasks);
         assert_eq!(p.schedule().stats, full.stats);
@@ -1123,7 +896,6 @@ mod tests {
         let mut p = Planner::new(UnifiedScheduler::default(), jagged(120)).unwrap();
         let before = p.schedule().clone();
         let out = p.replan(&ReplanDelta::default()).unwrap();
-        assert_eq!(out.triggers_patched, 0);
         assert!(out.patched_in_place);
         assert_eq!(out.layers_reused, p.input().layers.len());
         assert_eq!(p.schedule(), &before);
@@ -1149,11 +921,9 @@ mod tests {
         lp.working_set += 3;
         let out = p.replan(&ReplanDelta::layer(1, lp)).unwrap();
         assert!(out.patched_in_place);
-        assert_eq!(out.triggers_patched, 0);
         assert_eq!(out.layers_reused, 3);
         assert_matches(&p);
-        // The patched trees must agree with the baseline across a following
-        // slow-path replan (reset_reverting diffs against the new input) …
+        // A following slow-path replan starts from the patched input …
         p.replan(&ReplanDelta::capacity(120)).unwrap();
         assert_matches(&p);
         // … and a decrease (slow path by construction) still matches.
@@ -1177,7 +947,7 @@ mod tests {
         assert_matches(&p);
         let out = p.replan(&ReplanDelta::capacity(400)).unwrap();
         assert_matches(&p);
-        assert!(out.triggers_total > 0);
+        assert!(!out.patched_in_place);
     }
 
     #[test]
@@ -1264,7 +1034,7 @@ mod tests {
         assert_eq!(d.layers.len(), 2);
         let mut p = Planner::new(UnifiedScheduler::default(), old).unwrap();
         p.replan(&d).unwrap();
-        let full = UnifiedScheduler::default().schedule(&new).unwrap();
+        let full = oracle::schedule(&UnifiedScheduler::default(), &new).unwrap();
         assert_eq!(p.schedule().tasks, full.tasks);
         assert_eq!(p.schedule().stats, full.stats);
         assert_eq!(p.schedule().trigger_offsets, full.trigger_offsets);
@@ -1298,7 +1068,7 @@ mod tests {
             };
             match p.replan(&d) {
                 Ok(out) => {
-                    assert!(out.triggers_patched <= out.triggers_total);
+                    assert!(out.layers_touched + out.layers_reused <= p.input().layers.len());
                     assert_matches(&p);
                 }
                 Err(Error::WorkingSetTooLarge { .. }) => assert_matches(&p),
@@ -1311,6 +1081,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::scheduler::oracle;
     use proptest::prelude::*;
 
     /// Abstract mutations, resolved against the *current* input at apply
@@ -1517,10 +1288,10 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
         /// Random mutation sequences (outage / permanent / resize deltas):
-        /// after every accepted delta the incremental schedule is
-        /// byte-identical to a from-scratch plan of the mutated input, and
-        /// a rejected delta leaves the session byte-identical to the
-        /// previous input's plan.
+        /// after every accepted delta the session's schedule is
+        /// byte-identical to the per-page oracle's plan of the mutated
+        /// input, and a rejected delta leaves the session byte-identical to
+        /// the previous input's plan.
         #[test]
         fn incremental_replan_matches_from_scratch(
             (mut input, sched) in base_input_strategy(),
@@ -1530,8 +1301,8 @@ mod proptests {
             let mut planner = match planner {
                 Ok(p) => p,
                 Err(_) => {
-                    // Infeasible seed: the full planner must agree.
-                    prop_assert!(sched.schedule(&input).is_err());
+                    // Infeasible seed: the oracle must agree.
+                    prop_assert!(oracle::schedule(&sched, &input).is_err());
                     return Ok(());
                 }
             };
@@ -1542,12 +1313,12 @@ mod proptests {
                 match planner.replan(&d) {
                     Ok(_) => {
                         input = cand;
-                        let full = sched.schedule(&input);
+                        let full = oracle::schedule(&sched, &input);
                         let full = match full {
                             Ok(s) => s,
                             Err(e) => {
                                 return Err(TestCaseError::Fail(
-                                    format!("planner accepted what schedule() rejects: {e}")));
+                                    format!("planner accepted what the oracle rejects: {e}")));
                             }
                         };
                         prop_assert_eq!(&planner.schedule().tasks, &full.tasks);
@@ -1561,8 +1332,8 @@ mod proptests {
                     Err(Error::WorkingSetTooLarge { .. }) => {
                         // The mutated input must genuinely be infeasible,
                         // and the session must still match the old input.
-                        prop_assert!(sched.schedule(&cand).is_err());
-                        let full = match sched.schedule(&input) {
+                        prop_assert!(oracle::schedule(&sched, &cand).is_err());
+                        let full = match oracle::schedule(&sched, &input) {
                             Ok(s) => s,
                             Err(e) => {
                                 return Err(TestCaseError::Fail(

@@ -25,19 +25,26 @@
 //! [`crate::tracer::Trace`] as trigger ids, so parameter residency is
 //! planned across both passes.
 //!
+//! This module holds the schedule data model, the scheduler configuration
+//! and the residency timeline ([`TimelineState`]). The decision phases
+//! themselves run in exactly one place, the [`crate::replan::Planner`]
+//! session; [`UnifiedScheduler::schedule`] is a one-shot session.
+//!
 //! # Complexity (DESIGN.md §9)
 //!
-//! At the paper's scale a layer shard is 10⁴–10⁵ pages, so the planner's
-//! residency timeline is backed by a lazy range-add / range-max segment
-//! tree ([`crate::seqtree::RangeAddMax`]) and phase 1 batches whole
-//! same-layer page runs into single range updates. Every timeline
-//! operation — evict, re-add fit check, re-add commit, gather advancement,
-//! peak — is O(log steps), for an overall O((pages + steps)·log steps)
-//! plan. The pre-refactor per-page / per-step implementation is retained
-//! verbatim in [`oracle`]; tests and the criterion suite prove the
-//! optimized planner emits byte-identical schedules and stats.
+//! At the paper's scale a layer shard is 10⁴–10⁵ pages, so the residency
+//! timeline is backed by a lazy range-add / range-max segment tree
+//! ([`crate::seqtree::RangeAddMax`]) and phase 1 batches whole same-layer
+//! page runs into single range updates. Every timeline operation — evict,
+//! re-add fit check, re-add commit, gather advancement, peak — is
+//! O(log steps), for an overall O((pages + steps)·log steps) plan. The
+//! per-page / per-step reference implementation lives in `oracle`
+//! (test builds and the `verify-extras` feature only); tests and the
+//! planning-cost bench prove the planner emits byte-identical schedules and
+//! stats.
 
-use crate::error::{Error, Result};
+use crate::error::Result;
+use crate::replan::Planner;
 use crate::seqtree::RangeAddMax;
 use serde::{Deserialize, Serialize};
 
@@ -106,12 +113,6 @@ impl LayerPlan {
     }
 }
 
-/// A [`LayerPlan`]'s byte totals as a `(shard, full, working_set)` triple.
-pub(crate) type LayerTotals = (u64, u64, u64);
-
-/// One timeline revert patch: `(layer, old totals, new totals)`.
-pub(crate) type LayerPatch = (usize, LayerTotals, LayerTotals);
-
 /// Scheduler input: the model plan, the compute-step list, the GPU byte
 /// budget available to model states, and the page size.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -138,7 +139,7 @@ impl SchedulerInput {
 
 /// Aggregate statistics of a schedule, used by reports and the capacity
 /// search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleStats {
     /// Pages whose `move_to_gpu` survived phase 1 (GPU-resident shard).
     pub pages_resident: usize,
@@ -154,7 +155,7 @@ pub struct ScheduleStats {
 
 /// The schedule: tasks ordered by trigger id, a per-trigger index, and
 /// stats.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Schedule {
     pub tasks: Vec<ScheduleTask>,
     pub stats: ScheduleStats,
@@ -184,6 +185,7 @@ impl Schedule {
 /// Build the per-trigger offset table from a trigger-sorted task list.
 /// Triggers are confined to `0..num_steps` by construction (re-adds land at
 /// `i + 1 <= last_use < num_steps`).
+#[cfg(any(test, feature = "verify-extras"))]
 fn trigger_offsets_of(tasks: &[ScheduleTask], num_steps: usize) -> Vec<usize> {
     let mut offsets = vec![0usize; num_steps + 1];
     for t in tasks {
@@ -226,19 +228,14 @@ impl Default for UnifiedScheduler {
 /// resident shard bytes live at step `j` + gathered-buffer extras whose
 /// span covers `j` + step `j`'s working set.
 ///
-/// The state owns every buffer (no borrow of the input) so the incremental
-/// replanner (`crate::replan`) can keep one timeline alive across plans and
-/// re-arm it with [`TimelineState::reset`] — reusing the tree nodes and all
-/// per-layer vectors instead of reallocating them each call. Methods that
-/// need the model take `&SchedulerInput` explicitly; callers must pass the
-/// same input the state was last reset with.
+/// The state owns every buffer (no borrow of the input) so a
+/// [`crate::replan::Planner`] session can keep one timeline alive across
+/// plans and re-arm it with [`TimelineState::reset`] — reusing the tree
+/// nodes and all per-layer vectors instead of reallocating them each call.
+/// Methods that need the model take `&SchedulerInput` explicitly; callers
+/// must pass the same input the state was last reset with.
 pub(crate) struct TimelineState {
     mem: RangeAddMax,
-    /// Snapshot of `mem` as of the last reset, *before* any decision was
-    /// applied — the revert point for [`TimelineState::reset_reverting`].
-    mem_base: RangeAddMax,
-    /// Pristine per-layer shard bytes matching `mem_base`.
-    resident0_base: Vec<u64>,
     /// Scratch: the initial per-step totals the tree is (re)built from.
     mem0: Vec<u64>,
     /// Scratch: difference array for the resident-shard fill.
@@ -266,8 +263,6 @@ impl TimelineState {
     pub(crate) fn new(input: &SchedulerInput) -> Self {
         let mut state = Self {
             mem: RangeAddMax::from_values(&[]),
-            mem_base: RangeAddMax::from_values(&[]),
-            resident0_base: Vec::new(),
             mem0: Vec::new(),
             diff: Vec::new(),
             resident0: Vec::new(),
@@ -342,48 +337,12 @@ impl TimelineState {
             }
         }
         self.mem.reset_from_values(&self.mem0);
-        self.mem_base.restore_from(&self.mem);
-        self.resident0_base.clone_from(&self.resident0);
         for v in &mut self.resched_cum {
             v.clear();
         }
         self.resched_cum.resize_with(n_layers, Vec::new);
         self.gather_trigger.clear();
         self.gather_trigger.extend(0..n_steps);
-    }
-
-    /// Re-arm by *range-revert* instead of rebuild — valid only when the
-    /// step list, layer count and base load are unchanged since the last
-    /// reset. The byte deltas of the touched layers are applied to the
-    /// baseline tree as O(log steps) range patches, then the live tree
-    /// reverts to that baseline with one `restore_from` memcpy: untouched
-    /// layers' timeline contributions come back verbatim, nothing is
-    /// recomputed per-page or per-step.
-    ///
-    /// Each patch is `(layer, old LayerPlan totals, new LayerPlan totals)`
-    /// as `(shard, full, working_set)` byte triples.
-    pub(crate) fn reset_reverting(&mut self, input: &SchedulerInput, patches: &[LayerPatch]) {
-        for &(l, (old_shard, old_full, old_ws), (new_shard, new_full, new_ws)) in patches {
-            let lu = self.last_use[l];
-            let d_res = new_shard as i64 - old_shard as i64;
-            self.mem_base.add(0, lu, d_res);
-            let old_extra = old_ws + old_full.saturating_sub(old_shard);
-            let new_extra = new_ws + new_full.saturating_sub(new_shard);
-            let d_extra = new_extra as i64 - old_extra as i64;
-            if d_extra != 0 {
-                for &s in &self.steps_of_layer[l] {
-                    self.mem_base.add(s, s, d_extra);
-                }
-            }
-            self.resident0_base[l] = new_shard;
-        }
-        self.mem.restore_from(&self.mem_base);
-        self.resident0.clone_from(&self.resident0_base);
-        for v in &mut self.resched_cum {
-            v.clear();
-        }
-        self.gather_trigger.clear();
-        self.gather_trigger.extend(0..input.steps.len());
     }
 
     /// Whether step `j` computes layer `l` (O(1) bitmap lookup).
@@ -397,15 +356,11 @@ impl TimelineState {
     }
 
     /// Grow the planned total at layer `l`'s own compute steps by `d` bytes
-    /// on *both* the live tree and the reset baseline — the replanner's
-    /// slack fast path committing a working-set-only increase without
-    /// re-running decisions. Patching `mem_base` too keeps the next
-    /// [`Self::reset_reverting`] diffing against the input this timeline
-    /// now reflects.
+    /// — the planner's slack fast path committing a working-set-only
+    /// increase without re-running decisions.
     pub(crate) fn nudge_own_steps(&mut self, l: usize, d: u64) {
         for &s in &self.steps_of_layer[l] {
             self.mem.add(s, s, d as i64);
-            self.mem_base.add(s, s, d as i64);
         }
     }
 
@@ -494,37 +449,18 @@ impl TimelineState {
     /// so the stop point is the latest step in `[floor, g−1]` already above
     /// `budget − extra` — one segment-tree descent instead of a per-step
     /// walk.
+    ///
+    /// Each fired advance also records the span it occupied and the minimum
+    /// byte margin by which the stop condition held across that span:
+    /// `(new_g, g − 1, margin)`. A later increase of `≤ margin` bytes at any
+    /// single step inside the span provably leaves this advance's stop point
+    /// unchanged — the evidence the planner's slack fast path runs on.
     pub(crate) fn advance_gather(
         &mut self,
         input: &SchedulerInput,
         i: usize,
         horizon: usize,
-    ) -> bool {
-        self.advance_gather_impl(input, i, horizon, None)
-    }
-
-    /// [`Self::advance_gather`] that also records, for each fired advance,
-    /// the span it occupied and the minimum byte margin by which the stop
-    /// condition held across that span: `(new_g, g − 1, margin)`. A later
-    /// increase of `≤ margin` bytes at any single step inside the span
-    /// provably leaves this advance's stop point unchanged — the evidence
-    /// the replanner's slack fast path runs on.
-    pub(crate) fn advance_gather_recording(
-        &mut self,
-        input: &SchedulerInput,
-        i: usize,
-        horizon: usize,
         spans: &mut Vec<(usize, usize, u64)>,
-    ) -> bool {
-        self.advance_gather_impl(input, i, horizon, Some(spans))
-    }
-
-    fn advance_gather_impl(
-        &mut self,
-        input: &SchedulerInput,
-        i: usize,
-        horizon: usize,
-        spans: Option<&mut Vec<(usize, usize, u64)>>,
     ) -> bool {
         let l = input.steps[i].layer();
         let extra = input.layers[l]
@@ -547,14 +483,12 @@ impl TimelineState {
         if new_g < g {
             self.mem.add(new_g, g - 1, extra as i64);
             self.gather_trigger[i] = new_g;
-            if let Some(spans) = spans {
-                // Every step in [new_g, g−1] sat at ≤ threshold before the
-                // add, i.e. at ≤ budget after it; the span max after the add
-                // bounds how close the tightest step came.
-                let span_max = self.mem.max_in(new_g, g - 1).unwrap_or(0);
-                let margin = input.gpu_budget.saturating_sub(span_max);
-                spans.push((new_g, g - 1, margin));
-            }
+            // Every step in [new_g, g−1] sat at ≤ threshold before the add,
+            // i.e. at ≤ budget after it; the span max after the add bounds
+            // how close the tightest step came.
+            let span_max = self.mem.max_in(new_g, g - 1).unwrap_or(0);
+            let margin = input.gpu_budget.saturating_sub(span_max);
+            spans.push((new_g, g - 1, margin));
             true
         } else {
             false
@@ -567,279 +501,30 @@ impl TimelineState {
 }
 
 impl UnifiedScheduler {
-    /// Run Algorithm 1 on `input`.
+    /// Run Algorithm 1 on `input`: a one-shot [`Planner`] session.
     ///
-    /// Errors with [`Error::WorkingSetTooLarge`] when some layer cannot run
-    /// even with an empty GPU (gathered parameters + working set exceed the
-    /// budget) — the condition under which the paper's system is also out of
-    /// options without shrinking the batch.
-    ///
-    /// This is the optimized near-linear planner; [`oracle::schedule`] is
-    /// the retained reference implementation it is proven byte-identical
-    /// against.
+    /// Errors with [`crate::Error::WorkingSetTooLarge`] when some layer
+    /// cannot run even with an empty GPU (gathered parameters + working set
+    /// exceed the budget) — the condition under which the paper's system is
+    /// also out of options without shrinking the batch — and with
+    /// [`crate::Error::BadReplanDelta`] on a malformed input (empty model, a
+    /// step naming a missing layer, a layer without a compute step).
     pub fn schedule(&self, input: &SchedulerInput) -> Result<Schedule> {
-        assert!(!input.layers.is_empty(), "empty model");
-        let n_steps = input.steps.len();
-
-        // Infeasibility check: a layer must fit with nothing *evictable*
-        // resident (external base load cannot be evicted).
-        for (j, s) in input.steps.iter().enumerate() {
-            let l = &input.layers[s.layer()];
-            let base = input.step_base_load.get(j).copied().unwrap_or(0);
-            let need = l.full_param_bytes + l.working_set + base;
-            if need > input.gpu_budget {
-                return Err(Error::WorkingSetTooLarge {
-                    layer_bytes: need,
-                    gpu_bytes: input.gpu_budget,
-                });
-            }
-        }
-
-        let mut res = TimelineState::new(input);
-
-        // ---- Phase 1 ----------------------------------------------------
-        // Lines 3–5: prioritize move_to_gpu for every page, trigger 0. The
-        // movement stack records emission order so line 8 can pop "the last
-        // movement task". Total pages and shard bytes accumulate here (the
-        // only pass over the page lists) for the final stats.
-        let total_pages: usize = input.layers.iter().map(|l| l.shard_pages.len()).sum();
-        let mut shard_bytes = 0u64;
-        let mut move_stack: Vec<PlannedPage> = Vec::with_capacity(total_pages);
-        for (li, layer) in input.layers.iter().enumerate() {
-            for (pi, &bytes) in layer.shard_pages.iter().enumerate() {
-                shard_bytes += bytes;
-                move_stack.push(PlannedPage {
-                    layer: li,
-                    index: pi,
-                    bytes,
-                });
-            }
-        }
-        // Pages re-scheduled later: (page, trigger id).
-        let mut rescheduled: Vec<(PlannedPage, usize)> = Vec::new();
-        let mut wait_stack: Vec<PlannedPage> = Vec::new();
-
-        for i in 0..n_steps {
-            // Lines 7–9: evict (pop) movements until this step fits.
-            // `mem[i]` includes the step's own gather and working set, so
-            // fitting means `mem[i] <= budget`. Same-layer page runs on the
-            // stack top are popped as one batched range update: evicting a
-            // page only lowers `mem[i]` when `i` lies in the victim layer's
-            // live span and is not one of its own compute steps (net-zero
-            // there), so a run either shrinks `mem[i]` page by page — take
-            // exactly enough pages to reach the budget — or not at all —
-            // the whole run drains, as the per-page loop would.
-            loop {
-                let current = res.step_total(i);
-                if current <= input.gpu_budget {
-                    break;
-                }
-                let Some(&top) = move_stack.last() else {
-                    break; // nothing left to evict; gathers must stream
-                };
-                let l = top.layer;
-                let run_start = run_start_of(&move_stack, l);
-                let net_zero = i > res.last_use(l) || res.is_own_step(l, i);
-                let mut batch = 0u64;
-                let mut taken = move_stack.len();
-                if net_zero {
-                    // Popping this run never changes mem[i]: all of it goes.
-                    taken = run_start;
-                    batch = move_stack[run_start..].iter().map(|p| p.bytes).sum();
-                } else {
-                    let need = current - input.gpu_budget;
-                    while taken > run_start && batch < need {
-                        taken -= 1;
-                        batch += move_stack[taken].bytes;
-                    }
-                }
-                res.evict(l, batch);
-                // Victims reach the wait stack in pop (reverse) order.
-                wait_stack.extend(move_stack.drain(taken..).rev());
-            }
-
-            // Lines 13–15: backfill waiting pages while memory allows
-            // (checked against every remaining step so later layers still
-            // fit — the trace-driven equivalent of `get_available_memory`).
-            // Re-adds of one layer all see the same per-step headroom (the
-            // commit raises every checked step uniformly), so a same-layer
-            // run batches into one capacity query + one range update.
-            'readd: while let Some(&top) = wait_stack.last() {
-                let l = top.layer;
-                let t = i + 1;
-                let Some(cap) = res.readd_capacity(input, l, t) else {
-                    break;
-                };
-                let run_start = run_start_of(&wait_stack, l);
-                let mut batch = 0u64;
-                let mut taken = wait_stack.len();
-                while taken > run_start {
-                    let bytes = wait_stack[taken - 1].bytes;
-                    match batch.checked_add(bytes) {
-                        Some(b) if b <= cap => {
-                            batch = b;
-                            taken -= 1;
-                        }
-                        _ => break,
-                    }
-                }
-                if taken == wait_stack.len() {
-                    break; // head of the run does not fit — stop backfilling
-                }
-                res.readd(l, batch, t);
-                for page in wait_stack.drain(taken..).rev() {
-                    rescheduled.push((page, t));
-                }
-                if taken > run_start {
-                    break 'readd; // run only partially fit
-                }
-            }
-        }
-
-        // Lines 10–12 were implicit above: every step gets an all_gather
-        // bundle and a compute task, gathered just-in-time (trigger = i)
-        // until phase 2 advances it.
-
-        // ---- Phase 2 ----------------------------------------------------
-        // Lines 18–21: advance each all_gather to the earliest trigger that
-        // stays within budget.
-        let mut gathers_advanced = 0usize;
-        if self.phase2 {
-            for i in 0..n_steps {
-                if res.advance_gather(input, i, self.prefetch_horizon) {
-                    gathers_advanced += 1;
-                }
-            }
-        }
-
-        // ---- Emit the task list ------------------------------------------
-        // Every task's trigger is known before emission, so the counting
-        // sort runs without materializing an unsorted buffer: count per
-        // trigger, prefix-sum into the offset table, then write each task
-        // straight into its final slot. Walking the sources in the oracle's
-        // emission order (moves, re-adds, per-step gathers + computes)
-        // keeps within-trigger order identical to its stable sort. Byte
-        // stats fold into the same walk.
-        let mut trigger_offsets = vec![0usize; n_steps + 1];
-        let bump = |offsets: &mut Vec<usize>, trigger: usize, by: usize| {
-            offsets[trigger + 1] += by;
-        };
-        bump(&mut trigger_offsets, 0, move_stack.len());
-        for &(_, trig) in &rescheduled {
-            bump(&mut trigger_offsets, trig, 1);
-        }
-        for (i, step) in input.steps.iter().enumerate() {
-            let n_pages = input.layers[step.layer()].shard_pages.len();
-            bump(&mut trigger_offsets, res.gather_triggers()[i], n_pages);
-            bump(&mut trigger_offsets, i, 1); // the compute task
-        }
-        for i in 1..trigger_offsets.len() {
-            trigger_offsets[i] += trigger_offsets[i - 1];
-        }
-        // `trigger_offsets` has n_steps + 1 slots; the last holds the total.
-        let total_tasks = trigger_offsets.last().copied().unwrap_or(0);
-        let mut cursor = trigger_offsets.clone();
-        let mut tasks = vec![
-            ScheduleTask {
-                op: TaskOp::Compute(StepKind::Forward(0)),
-                trigger_id: 0,
-            };
-            total_tasks
-        ];
-        let place = |tasks: &mut Vec<ScheduleTask>, cursor: &mut Vec<usize>, task: ScheduleTask| {
-            tasks[cursor[task.trigger_id]] = task;
-            cursor[task.trigger_id] += 1;
-        };
-        let mut resident_bytes = 0u64;
-        for page in &move_stack {
-            resident_bytes += page.bytes;
-            place(
-                &mut tasks,
-                &mut cursor,
-                ScheduleTask {
-                    op: TaskOp::MoveToGpu(*page),
-                    trigger_id: 0,
-                },
-            );
-        }
-        for &(page, trig) in &rescheduled {
-            resident_bytes += page.bytes;
-            place(
-                &mut tasks,
-                &mut cursor,
-                ScheduleTask {
-                    op: TaskOp::MoveToGpu(page),
-                    trigger_id: trig,
-                },
-            );
-        }
-        for (i, step) in input.steps.iter().enumerate() {
-            let l = step.layer();
-            let trig = res.gather_triggers()[i];
-            for (pi, &bytes) in input.layers[l].shard_pages.iter().enumerate() {
-                place(
-                    &mut tasks,
-                    &mut cursor,
-                    ScheduleTask {
-                        op: TaskOp::AllGather {
-                            page: PlannedPage {
-                                layer: l,
-                                index: pi,
-                                bytes,
-                            },
-                            step: i,
-                        },
-                        trigger_id: trig,
-                    },
-                );
-            }
-            place(
-                &mut tasks,
-                &mut cursor,
-                ScheduleTask {
-                    op: TaskOp::Compute(*step),
-                    trigger_id: i,
-                },
-            );
-        }
-
-        let resident_pages = move_stack.len() + rescheduled.len();
-        Ok(Schedule {
-            tasks,
-            num_steps: n_steps,
-            trigger_offsets,
-            stats: ScheduleStats {
-                pages_resident: resident_pages,
-                pages_cpu_bound: total_pages - resident_pages,
-                peak_gpu_bytes: res.peak(),
-                resident_fraction: if shard_bytes == 0 {
-                    0.0
-                } else {
-                    resident_bytes as f64 / shard_bytes as f64
-                },
-                gathers_advanced,
-            },
-        })
+        Planner::new(self.clone(), input.clone()).map(Planner::into_schedule)
     }
 }
 
-/// Start index of the maximal run of layer-`l` pages at the top of `stack`.
-fn run_start_of(stack: &[PlannedPage], l: usize) -> usize {
-    let mut start = stack.len();
-    while start > 0 && stack[start - 1].layer == l {
-        start -= 1;
-    }
-    start
-}
-
-/// The pre-optimization Algorithm 1 planner, retained verbatim as the
-/// correctness oracle: per-page O(steps) timeline updates, linear
-/// `resident()` scans, `contains`-based fit checks and a comparison sort.
-/// Tests ([`tests`] and the proptest suite) prove [`UnifiedScheduler::schedule`]
-/// emits byte-identical schedules; the criterion suite (`crates/bench`)
-/// records the speedup in `BENCH_plan.json`.
+/// The per-page Algorithm 1 reference planner, kept as the correctness
+/// oracle: per-page O(steps) timeline updates, linear `resident()` scans,
+/// `contains`-based fit checks and a comparison sort. Tests (the unit and
+/// proptest suites here and in `crate::replan`) prove the [`Planner`]
+/// emits byte-identical schedules; the `planning_cost` bench records the
+/// speedup in `BENCH_plan.json`. Compiled only for tests and under the
+/// `verify-extras` feature.
+#[cfg(any(test, feature = "verify-extras"))]
 pub mod oracle {
     use super::*;
+    use crate::error::Error;
 
     /// The naive residency timeline: a plain `Vec<u64>` with O(steps)
     /// updates per page.
@@ -967,8 +652,7 @@ pub mod oracle {
         }
     }
 
-    /// Run the reference per-page Algorithm 1 — the exact pre-optimization
-    /// `UnifiedScheduler::schedule`.
+    /// Run the reference per-page Algorithm 1.
     pub fn schedule(sched: &UnifiedScheduler, input: &SchedulerInput) -> Result<Schedule> {
         assert!(!input.layers.is_empty(), "empty model");
         let n_steps = input.steps.len();
@@ -1151,6 +835,7 @@ pub fn input_from_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
 
     /// A uniform toy model with hand-checkable numbers.
     fn toy(
@@ -1242,6 +927,21 @@ mod tests {
         assert!(matches!(
             UnifiedScheduler::default().schedule(&input),
             Err(Error::WorkingSetTooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn empty_model_is_a_typed_error() {
+        let input = SchedulerInput {
+            layers: Vec::new(),
+            steps: Vec::new(),
+            gpu_budget: 100,
+            page_size: 10,
+            step_base_load: Vec::new(),
+        };
+        assert!(matches!(
+            UnifiedScheduler::default().schedule(&input),
+            Err(Error::BadReplanDelta("empty model"))
         ));
     }
 

@@ -46,8 +46,8 @@ impl RangeAddMax {
         tree
     }
 
-    /// Rebuild from new totals, reusing the existing node arrays — the
-    /// replan fast path re-arms one persistent tree per delta instead of
+    /// Rebuild from new totals, reusing the existing node arrays — a
+    /// planner session re-arms one persistent tree per replan instead of
     /// allocating a fresh one (`from_values`) per plan. Byte-identical to
     /// `*self = Self::from_values(values)` without the allocation.
     pub fn reset_from_values(&mut self, values: &[u64]) {
@@ -61,17 +61,6 @@ impl RangeAddMax {
         if n > 0 {
             self.build(1, 0, n - 1, values);
         }
-    }
-
-    /// Revert to a saved snapshot, reusing this tree's allocations
-    /// (`Vec::clone_from` keeps capacity). With `add` range patches on top,
-    /// this is the planner's range-revert: one memcpy back to the baseline
-    /// timeline, then O(log n) range updates for only the deltas — untouched
-    /// ranges come back verbatim without a rebuild.
-    pub fn restore_from(&mut self, snapshot: &Self) {
-        self.n = snapshot.n;
-        self.max.clone_from(&snapshot.max);
-        self.lazy.clone_from(&snapshot.lazy);
     }
 
     pub fn len(&self) -> usize {
@@ -289,24 +278,6 @@ mod tests {
         t.reset_from_values(&[]);
         assert!(t.is_empty());
         assert_eq!(t.max_all(), 0);
-    }
-
-    #[test]
-    fn restore_reverts_to_snapshot() {
-        let base = RangeAddMax::from_values(&[10, 20, 30, 40, 50]);
-        let mut live = base.clone();
-        live.add(0, 4, 100);
-        live.add(2, 3, -15);
-        assert_ne!(live.to_vec(), base.to_vec());
-        live.restore_from(&base);
-        assert_eq!(live.to_vec(), base.to_vec());
-        // Revert + range patch == mutated fresh build (the planner's
-        // range-revert/reuse contract).
-        live.restore_from(&base);
-        live.add(1, 2, 7);
-        let expect = RangeAddMax::from_values(&[10, 27, 37, 40, 50]);
-        assert_eq!(live.to_vec(), expect.to_vec());
-        assert_eq!(live.max_in(0, 4), expect.max_in(0, 4));
     }
 
     #[test]
