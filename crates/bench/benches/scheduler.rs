@@ -3,19 +3,29 @@
 //! phase-2 peak-memory analysis must stay cheap even for hundred-layer,
 //! 10⁵-page models — this guards the incremental-timeline complexity.
 
-use angel_core::scheduler::{input_from_trace, oracle, UnifiedScheduler};
-use angel_core::Tracer;
+use angel_core::plan::{ShardPlan, TracePlan};
+use angel_core::scheduler::{oracle, SchedulerInput, UnifiedScheduler};
+use angel_core::{EngineConfig, Tracer};
 use angel_hw::GIB;
 use angel_model::TransformerConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+/// `cfg`'s scheduler input as the engine shards it (ZeRO-3 over one 8-GPU
+/// server at batch 4), under a 30 GiB budget.
+fn sharded_input(cfg: &TransformerConfig) -> SchedulerInput {
+    let config = EngineConfig::single_server().with_batch_size(4);
+    let traced = TracePlan::build(cfg, &config).expect("valid plan");
+    let mut input = ShardPlan::build(cfg, &config, &traced).input;
+    input.gpu_budget = 30 * GIB;
+    input
+}
+
 fn bench_scheduler(c: &mut Criterion) {
     let mut group = c.benchmark_group("algorithm1_schedule");
     for layers in [8usize, 32, 96] {
         let cfg = TransformerConfig::gpt3_13b().with_layers(layers);
-        let trace = Tracer::default().trace(&cfg, 4, true);
-        let input = input_from_trace(&trace, 4 * 1024 * 1024, 8, 30 * GIB);
+        let input = sharded_input(&cfg);
         group.bench_with_input(BenchmarkId::from_parameter(layers), &input, |b, input| {
             b.iter(|| black_box(UnifiedScheduler::default().schedule(input).unwrap()))
         });
@@ -30,8 +40,7 @@ fn bench_scheduler_vs_oracle(c: &mut Criterion) {
     let mut group = c.benchmark_group("algorithm1_vs_oracle");
     group.sample_size(10);
     let cfg = TransformerConfig::gpt3_13b().with_layers(32);
-    let trace = Tracer::default().trace(&cfg, 4, true);
-    let input = input_from_trace(&trace, 4 * 1024 * 1024, 8, 30 * GIB);
+    let input = sharded_input(&cfg);
     group.bench_with_input(BenchmarkId::new("optimized", 32), &input, |b, input| {
         b.iter(|| black_box(UnifiedScheduler::default().schedule(input).unwrap()))
     });

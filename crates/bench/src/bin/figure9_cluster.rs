@@ -25,10 +25,10 @@
 
 use angel_bench::{fmt_params, fmt_sps, Experiment};
 use angel_core::communicator::CommRecord;
-use angel_core::plan::{ParallelismPlan, ZeroStage};
-use angel_core::scheduler::{input_from_trace, UnifiedScheduler};
+use angel_core::plan::{ParallelismPlan, ShardPlan, TracePlan, ZeroStage};
+use angel_core::scheduler::UnifiedScheduler;
 use angel_core::verify::PlanGraph;
-use angel_core::{Engine, EngineConfig, SpmdTrace, Tracer};
+use angel_core::{Engine, EngineConfig, SpmdTrace};
 use angel_hw::DeviceMesh;
 use angel_model::TransformerConfig;
 use std::time::Instant;
@@ -244,10 +244,15 @@ fn main() {
     let stress = if quick {
         serde_json::json!(null)
     } else {
-        let page = 1u64 << 20;
+        // Replicated parameters (no ZeRO sharding) keep every layer's pages
+        // whole: the page-richest input of the model.
         let stress_model = scaled_geometry.clone().with_layers(1024);
-        let trace = Tracer::default().trace(&stress_model, 1, true);
-        let mut input = input_from_trace(&trace, page, 1, 40 << 30);
+        let config = EngineConfig::single_server()
+            .with_page_size(1 << 20)
+            .with_parallelism(ParallelismPlan::megatron(8, 1, 1));
+        let traced = TracePlan::build(&stress_model, &config).expect("valid plan");
+        let mut input = ShardPlan::build(&stress_model, &config, &traced).input;
+        input.gpu_budget = 40 << 30;
         let need = input
             .layers
             .iter()

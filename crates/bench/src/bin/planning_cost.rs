@@ -14,10 +14,9 @@
 //! so the speedup numbers are for provably equivalent schedules.
 
 use angel_bench::Experiment;
-use angel_core::scheduler::{
-    input_from_trace, oracle, LayerPlan, Schedule, SchedulerInput, UnifiedScheduler,
-};
-use angel_core::{MetricsSnapshot, Planner, Recorder, ReplanDelta, Tracer};
+use angel_core::plan::{ShardPlan, TracePlan};
+use angel_core::scheduler::{oracle, LayerPlan, Schedule, SchedulerInput, UnifiedScheduler};
+use angel_core::{EngineConfig, MetricsSnapshot, Planner, Recorder, ReplanDelta};
 use angel_model::TransformerConfig;
 use std::time::Instant;
 
@@ -65,12 +64,16 @@ struct Row {
     input: SchedulerInput,
 }
 
+/// `cfg` as the engine shards it over `dp / 8` servers (ZeRO-3 across all
+/// `dp` GPUs, batch 1, the default 4 MiB pages), under `budget`.
 fn model_row(name: &'static str, cfg: &TransformerConfig, dp: usize, budget: u64) -> Row {
-    let trace = Tracer::default().trace(cfg, 1, true);
-    let mut input = input_from_trace(&trace, 4 << 20, dp, budget);
-    // Keep every layer feasible (MoE layers gather every expert): floor the
-    // budget at 1.25x the largest single-layer requirement. This is a
-    // planning-cost benchmark, not a capacity experiment.
+    let config = EngineConfig::servers(dp / 8);
+    let traced = TracePlan::build(cfg, &config).expect("valid plan");
+    let mut input = ShardPlan::build(cfg, &config, &traced).input;
+    input.gpu_budget = budget;
+    // Keep every layer feasible: floor the budget at 1.25x the largest
+    // single-layer requirement. This is a planning-cost benchmark, not a
+    // capacity experiment.
     let need = input
         .layers
         .iter()

@@ -20,7 +20,7 @@
 
 use crate::config::EngineConfig;
 use crate::plan::{ParallelismPlan, ZeroStage};
-use crate::scheduler::{input_from_trace, LayerPlan, SchedulerInput};
+use crate::scheduler::{LayerPlan, SchedulerInput};
 use crate::tracer::Trace;
 use angel_model::TransformerConfig;
 
@@ -76,28 +76,20 @@ impl ShardPlan {
         };
 
         let gpu_budget = config.gpu_budget();
-        let degenerate = plan.tp == 1 && plan.pp == 1 && plan.zero_stage == ZeroStage::Full;
         let input = if model.is_moe() {
-            moe_input(
-                model,
-                trace,
-                traced.n_gpus,
-                config.page_size,
-                gpu_budget,
-                config.recompute,
-            )
-        } else if degenerate {
-            input_from_trace(trace, config.page_size, plan.dp, gpu_budget)
+            moe_input(model, trace, traced.n_gpus, config.page_size, gpu_budget)
         } else {
             mesh_input(trace, &plan, config.page_size, gpu_budget)
         };
 
-        let layer_comm_bytes = (0..model.layers)
-            .map(|l| {
+        let layer_comm_bytes = trace
+            .layer_bytes
+            .iter()
+            .map(|b| {
                 if model.is_moe() {
-                    trace.layer_param16_split(l).0
+                    b.param16_dense
                 } else {
-                    trace.layer_param16_bytes(l).div_ceil(plan.tp as u64)
+                    b.param16().div_ceil(plan.tp as u64)
                 }
             })
             .collect();
@@ -116,10 +108,11 @@ impl ShardPlan {
     }
 }
 
-/// Scheduler input for a non-degenerate mesh plan: this rank schedules its
-/// pipeline stage's layers, with every tensor (parameters, activations,
-/// gradients) already divided `tp` ways, and the ZeRO stage deciding how
-/// much of each layer's parameters this rank stores between iterations.
+/// Scheduler input for a mesh plan, pure ZeRO-3 included: this rank
+/// schedules its pipeline stage's layers, with every tensor (parameters,
+/// activations, gradients) already divided `tp` ways, and the ZeRO stage
+/// deciding how much of each layer's parameters this rank stores between
+/// iterations.
 fn mesh_input(
     trace: &Trace,
     plan: &ParallelismPlan,
@@ -127,51 +120,22 @@ fn mesh_input(
     gpu_budget: u64,
 ) -> SchedulerInput {
     let tp = plan.tp as u64;
-    let n_layers = plan.stage_layers(trace.layers);
-    let param_shard = plan.param_shard_ranks();
-    let layers = (0..n_layers)
-        .map(|l| {
-            let full = trace.layer_param16_bytes(l).div_ceil(tp);
-            let shard = full.div_ceil(param_shard);
-            let mut pages = Vec::with_capacity(shard.div_ceil(page_size.max(1)) as usize);
-            let mut rest = shard;
-            while rest > 0 {
-                let take = rest.min(page_size);
-                pages.push(take);
-                rest -= take;
-            }
+    let stage = &trace.layer_bytes[..plan.stage_layers(trace.layers)];
+    let layers = stage
+        .iter()
+        .enumerate()
+        .map(|(l, b)| {
+            let full = b.param16().div_ceil(tp);
             LayerPlan {
                 layer: l,
-                shard_pages: pages,
+                shard_pages: split_pages(full.div_ceil(plan.param_shard_ranks()), page_size),
                 full_param_bytes: full,
-                working_set: trace.layer_working_set(l).div_ceil(tp),
+                working_set: b.working_set().div_ceil(tp),
             }
         })
         .collect();
-    let steps = SchedulerInput::default_steps(n_layers);
-    // Stage-local lifetime window: layer `l`'s activations live from its
-    // forward (step `l`) to its backward (step `2·n_layers − 1 − l`).
-    let step_base_load = if trace.recompute {
-        Vec::new()
-    } else {
-        steps
-            .iter()
-            .enumerate()
-            .map(|(j, s)| {
-                (0..n_layers)
-                    .filter(|&l| l != s.layer() && l <= j && j <= 2 * n_layers - 1 - l)
-                    .map(|l| trace.layer_activation_bytes(l).div_ceil(tp))
-                    .sum()
-            })
-            .collect()
-    };
-    SchedulerInput {
-        layers,
-        steps,
-        gpu_budget,
-        page_size,
-        step_base_load,
-    }
+    let activation: Vec<u64> = stage.iter().map(|b| b.activation.div_ceil(tp)).collect();
+    scheduler_input(layers, &activation, trace.recompute, page_size, gpu_budget)
 }
 
 /// Scheduler input under expert parallelism: the dense fraction of every
@@ -183,71 +147,94 @@ fn moe_input(
     n_gpus: usize,
     page_size: u64,
     gpu_budget: u64,
-    recompute: bool,
 ) -> SchedulerInput {
     let experts_per_rank = (model.experts as u64).div_ceil(n_gpus as u64);
-    let layers = (0..trace.layers)
-        .map(|l| {
-            let (dense, expert_total) = trace.layer_param16_split(l);
-            let local_experts = if model.experts > 0 {
-                expert_total / model.experts as u64 * experts_per_rank
-            } else {
-                0
-            };
-            let shard = dense.div_ceil(n_gpus as u64) + local_experts;
-            let mut pages = Vec::new();
-            let mut rest = shard;
-            while rest > 0 {
-                let take = rest.min(page_size);
-                pages.push(take);
-                rest -= take;
-            }
-            let (dense_g, expert_g) = trace.layer_grad16_split(l);
-            let local_expert_g = if model.experts > 0 {
-                expert_g / model.experts as u64 * experts_per_rank
-            } else {
-                0
-            };
+    // This rank's whole experts out of `total` bytes over all experts.
+    let local = |total: u64| {
+        if model.experts > 0 {
+            total / model.experts as u64 * experts_per_rank
+        } else {
+            0
+        }
+    };
+    let layers = trace
+        .layer_bytes
+        .iter()
+        .enumerate()
+        .map(|(l, b)| {
+            let local_experts = local(b.param16_expert);
             LayerPlan {
                 layer: l,
-                shard_pages: pages,
-                full_param_bytes: dense + local_experts,
-                working_set: trace.layer_activation_bytes(l) + dense_g + local_expert_g,
+                shard_pages: split_pages(
+                    b.param16_dense.div_ceil(n_gpus as u64) + local_experts,
+                    page_size,
+                ),
+                full_param_bytes: b.param16_dense + local_experts,
+                working_set: b.activation + b.grad16_dense + local(b.grad16_expert),
             }
         })
         .collect();
-    let steps = SchedulerInput::default_steps(trace.layers);
-    // Without recomputation, every layer's activations stay live from its
-    // forward to its backward; that accumulated load is outside this
-    // schedule's control but must constrain it.
-    let step_base_load = if recompute {
-        Vec::new()
-    } else {
-        steps
-            .iter()
-            .enumerate()
-            .map(|(j, s)| {
-                (0..trace.layers)
-                    .filter(|&l| {
-                        l != s.layer() && trace.forward_id(l) <= j && j <= trace.backward_id(l)
-                    })
-                    .map(|l| trace.layer_activation_bytes(l))
-                    .sum()
-            })
-            .collect()
-    };
+    let activation: Vec<u64> = trace.layer_bytes.iter().map(|b| b.activation).collect();
+    scheduler_input(layers, &activation, trace.recompute, page_size, gpu_budget)
+}
+
+/// Split a shard of `bytes` into `page_size` pages, the last one partial.
+fn split_pages(bytes: u64, page_size: u64) -> Vec<u64> {
+    let mut pages = vec![page_size; (bytes / page_size) as usize];
+    let tail = bytes % page_size;
+    if tail > 0 {
+        pages.push(tail);
+    }
+    pages
+}
+
+/// The input over the default forward-then-backward steps of `layers`,
+/// whose activations are `activation`. Without recomputation every layer's
+/// activations stay live from its forward to its backward; that load is
+/// outside this schedule's control but must constrain it.
+fn scheduler_input(
+    layers: Vec<LayerPlan>,
+    activation: &[u64],
+    recompute: bool,
+    page_size: u64,
+    gpu_budget: u64,
+) -> SchedulerInput {
     SchedulerInput {
+        steps: SchedulerInput::default_steps(layers.len()),
+        step_base_load: if recompute {
+            Vec::new()
+        } else {
+            step_base_load(activation)
+        },
         layers,
-        steps,
         gpu_budget,
         page_size,
-        step_base_load,
     }
+}
+
+/// Activation bytes that the other layers pin at each of the `2n` default
+/// steps of `n` layers. Layer `l` is live from its forward (step `l`) to its
+/// backward (step `2n − 1 − l`). These windows nest, so the layers live at
+/// step `j` are exactly `l ≤ min(j, 2n − 1 − j)`, and the largest of them is
+/// the step's own layer. The load is therefore one prefix sum, and all steps
+/// together cost O(n).
+fn step_base_load(activation: &[u64]) -> Vec<u64> {
+    let n = activation.len();
+    let mut prefix = Vec::with_capacity(n);
+    let mut sum = 0u64;
+    for &a in activation {
+        prefix.push(sum);
+        sum += a;
+    }
+    (0..2 * n).map(|j| prefix[j.min(2 * n - 1 - j)]).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::StepKind;
+    use crate::tracer::LayerBytes;
+    use proptest::prelude::*;
 
     fn build(model: &TransformerConfig, config: &EngineConfig) -> ShardPlan {
         let traced = TracePlan::build(model, config).unwrap();
@@ -287,8 +274,8 @@ mod tests {
         let traced = TracePlan::build(&model, &config).unwrap();
         let n = config.num_gpus() as u64;
         for (l, lp) in plan.input.layers.iter().enumerate() {
-            let (dense, expert_total) = traced.trace.layer_param16_split(l);
-            let per_expert = expert_total / 6;
+            let b = traced.trace.layer_bytes[l];
+            let (dense, per_expert) = (b.param16_dense, b.param16_expert / 6);
             let shard: u64 = lp.shard_pages.iter().sum();
             assert_eq!(shard, dense.div_ceil(n) + per_expert, "layer {l}");
             // Gathered size excludes remote experts.
@@ -307,8 +294,7 @@ mod tests {
         let eight = build(&moe_model(8), &config);
         let traced = TracePlan::build(&moe_model(12), &config).unwrap();
         for l in 0..4 {
-            let (_, expert_total) = traced.trace.layer_param16_split(l);
-            let per_expert = expert_total / 12;
+            let per_expert = traced.trace.layer_bytes[l].param16_expert / 12;
             let shard12: u64 = twelve.input.layers[l].shard_pages.iter().sum();
             let shard8: u64 = eight.input.layers[l].shard_pages.iter().sum();
             // 2 experts of the 12-way split vs 1 expert of the 8-way split;
@@ -332,20 +318,14 @@ mod tests {
             traced.n_gpus,
             config.page_size,
             config.gpu_budget(),
-            config.recompute,
         );
         let n = traced.n_gpus as u64;
         for (l, lp) in input.layers.iter().enumerate() {
-            let (dense, _) = traced.trace.layer_param16_split(l);
-            let (dense_g, _) = traced.trace.layer_grad16_split(l);
+            let b = traced.trace.layer_bytes[l];
             let shard: u64 = lp.shard_pages.iter().sum();
-            assert_eq!(shard, dense.div_ceil(n), "layer {l}");
-            assert_eq!(lp.full_param_bytes, dense, "layer {l}");
-            assert_eq!(
-                lp.working_set,
-                traced.trace.layer_activation_bytes(l) + dense_g,
-                "layer {l}"
-            );
+            assert_eq!(shard, b.param16_dense.div_ceil(n), "layer {l}");
+            assert_eq!(lp.full_param_bytes, b.param16_dense, "layer {l}");
+            assert_eq!(lp.working_set, b.activation + b.grad16_dense, "layer {l}");
         }
     }
 
@@ -378,7 +358,7 @@ mod tests {
         assert_eq!(plan.input.layers.len(), 2);
         assert_eq!(plan.input.steps.len(), 4);
         for (l, lp) in plan.input.layers.iter().enumerate() {
-            let full = traced.trace.layer_param16_bytes(l).div_ceil(2);
+            let full = traced.trace.layer_bytes[l].param16().div_ceil(2);
             // Stage None: no ZeRO sharding — the whole tp slice is the shard.
             assert_eq!(lp.full_param_bytes, full, "layer {l}");
             assert_eq!(lp.shard_pages.iter().sum::<u64>(), full, "layer {l}");
@@ -404,7 +384,7 @@ mod tests {
         let plan = build(&model, &config);
         let traced = TracePlan::build(&model, &config).unwrap();
         for (l, lp) in plan.input.layers.iter().enumerate() {
-            let slice = traced.trace.layer_param16_bytes(l).div_ceil(2);
+            let slice = traced.trace.layer_bytes[l].param16().div_ceil(2);
             assert_eq!(lp.full_param_bytes, slice, "layer {l}");
             assert_eq!(
                 lp.shard_pages.iter().sum::<u64>(),
@@ -426,5 +406,161 @@ mod tests {
         assert_eq!(plan.rank_optim, plan.rank_params * 12);
         assert_eq!(plan.rank_p16g16, plan.rank_params * 4);
         assert_eq!(plan.state_bytes, model.model_state_bytes());
+    }
+
+    /// Reference accounting for `build`'s scheduler input and comm bytes:
+    /// every per-layer quantity is a full inventory rescan, every page list
+    /// a take-a-page loop and every step's base load a direct window sum,
+    /// with pure ZeRO-3, other mesh plans and MoE written out separately.
+    fn reference(model: &TransformerConfig, config: &EngineConfig) -> (SchedulerInput, Vec<u64>) {
+        let traced = TracePlan::build(model, config).unwrap();
+        let (trace, plan) = (&traced.trace, traced.plan);
+        let rows: Vec<LayerBytes> = (0..trace.layers)
+            .map(|l| trace.rescan_layer_bytes(l))
+            .collect();
+        let paged = |shard: u64| {
+            let mut pages = Vec::new();
+            let mut rest = shard;
+            while rest > 0 {
+                let take = rest.min(config.page_size);
+                pages.push(take);
+                rest -= take;
+            }
+            pages
+        };
+        let n_gpus = traced.n_gpus as u64;
+        let per_rank = (model.experts as u64).div_ceil(n_gpus);
+        let local = |total: u64| {
+            if model.experts > 0 {
+                total / model.experts as u64 * per_rank
+            } else {
+                0
+            }
+        };
+        let zero3 = plan.tp == 1 && plan.pp == 1 && plan.zero_stage == ZeroStage::Full;
+        let (n, tp) = if model.is_moe() || zero3 {
+            (trace.layers, 1)
+        } else {
+            (plan.stage_layers(trace.layers), plan.tp as u64)
+        };
+        let layers = (0..n)
+            .map(|l| {
+                let b = rows[l];
+                let (full, shard, working_set) = if model.is_moe() {
+                    let full = b.param16_dense + local(b.param16_expert);
+                    let shard = b.param16_dense.div_ceil(n_gpus) + local(b.param16_expert);
+                    (
+                        full,
+                        shard,
+                        b.activation + b.grad16_dense + local(b.grad16_expert),
+                    )
+                } else if zero3 {
+                    let full = b.param16_dense + b.param16_expert;
+                    let ws = b.activation + b.grad16_dense + b.grad16_expert;
+                    (full, full.div_ceil(plan.dp as u64), ws)
+                } else {
+                    let full = (b.param16_dense + b.param16_expert).div_ceil(tp);
+                    let ws = (b.activation + b.grad16_dense + b.grad16_expert).div_ceil(tp);
+                    (full, full.div_ceil(plan.param_shard_ranks()), ws)
+                };
+                LayerPlan {
+                    layer: l,
+                    shard_pages: paged(shard),
+                    full_param_bytes: full,
+                    working_set,
+                }
+            })
+            .collect();
+        let steps = SchedulerInput::default_steps(n);
+        let step_base_load = if config.recompute {
+            Vec::new()
+        } else {
+            let activation: Vec<u64> = rows.iter().map(|b| b.activation.div_ceil(tp)).collect();
+            window_sums(&steps, n, &activation)
+        };
+        let comm = rows
+            .iter()
+            .map(|b| {
+                if model.is_moe() {
+                    b.param16_dense
+                } else {
+                    (b.param16_dense + b.param16_expert).div_ceil(plan.tp as u64)
+                }
+            })
+            .collect();
+        let input = SchedulerInput {
+            layers,
+            steps,
+            gpu_budget: config.gpu_budget(),
+            page_size: config.page_size,
+            step_base_load,
+        };
+        (input, comm)
+    }
+
+    /// Reference base load: at step `j`, the activations of every layer
+    /// `l < n` other than the step's own whose window `l ≤ j ≤ 2n − 1 − l`
+    /// covers `j`, summed directly in O(n) per step.
+    fn window_sums(steps: &[StepKind], n: usize, activation: &[u64]) -> Vec<u64> {
+        steps
+            .iter()
+            .enumerate()
+            .map(|(j, s)| {
+                (0..n)
+                    .filter(|&l| l != s.layer() && l <= j && j <= 2 * n - 1 - l)
+                    .map(|l| activation[l])
+                    .sum()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn build_matches_reference_accounting() {
+        let dense = TransformerConfig::gpt3_1_7b().with_layers(5);
+        let plans = [
+            ParallelismPlan::zero3(8),
+            ParallelismPlan::megatron(4, 2, 1),
+            ParallelismPlan::megatron(2, 2, 2),
+        ];
+        for recompute in [true, false] {
+            let base = EngineConfig::single_server()
+                .with_batch_size(2)
+                .with_recompute(recompute);
+            let mut cases: Vec<_> = plans
+                .iter()
+                .map(|&p| (dense.clone(), base.clone().with_parallelism(p)))
+                .collect();
+            cases.push((moe_model(6), base.clone()));
+            for (model, config) in cases {
+                let plan = build(&model, &config);
+                let (input, comm) = reference(&model, &config);
+                let what = format!(
+                    "{} {:?} recompute={recompute}",
+                    model.name, config.parallelism
+                );
+                assert_eq!(plan.input, input, "{what}");
+                assert_eq!(plan.layer_comm_bytes, comm, "{what}");
+                assert_eq!(plan.input.step_base_load.is_empty(), recompute, "{what}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The prefix-sum base load equals the direct window sum, for the
+        /// whole model (`pp = 1`, and every MoE plan) and for the
+        /// stage-local window of a pipeline stage's first `ceil(L/pp)`
+        /// layers.
+        #[test]
+        fn step_base_load_matches_window_sums(
+            activation in collection::vec(0u64..1 << 40, 1..80),
+            pp in 1usize..9,
+        ) {
+            let n = ParallelismPlan::megatron(1, 1, pp).stage_layers(activation.len());
+            let stage = &activation[..n];
+            let steps = SchedulerInput::default_steps(n);
+            prop_assert_eq!(step_base_load(stage), window_sums(&steps, n, stage));
+        }
     }
 }

@@ -34,8 +34,13 @@ pub struct TracePlan {
 
 impl TracePlan {
     /// Run the Tracer over `model` under `config`'s batch/recompute policy
-    /// and validate the parallelism plan against the cluster.
+    /// and validate the parallelism plan against the cluster. A model with
+    /// no layers is rejected as `BadReplanDelta("empty model")` under every
+    /// plan.
     pub fn build(model: &TransformerConfig, config: &EngineConfig) -> Result<Self> {
+        if model.layers == 0 {
+            return Err(Error::BadReplanDelta("empty model"));
+        }
         let plan = config.parallelism;
         let mesh = config.device_mesh()?;
         if model.is_moe() && plan.model_parallel() > 1 {
@@ -76,7 +81,7 @@ mod tests {
         assert_eq!(tp.trace.layers, 4);
         for l in 0..4 {
             assert!(tp.trace.forward_id(l) <= tp.trace.backward_id(l));
-            assert!(tp.trace.layer_param16_bytes(l) > 0);
+            assert!(tp.trace.layer_bytes[l].param16() > 0);
         }
     }
 
@@ -132,5 +137,21 @@ mod tests {
         let tp = TracePlan::build(&tiny(), &cfg).unwrap();
         // Stage-None keeps parameters whole: the partition is trivial.
         assert_eq!(tp.zero.shard_bytes(1 << 20), 1 << 20);
+    }
+
+    #[test]
+    fn empty_model_is_a_typed_error_under_every_plan() {
+        let empty = tiny().with_layers(0);
+        for plan in [
+            ParallelismPlan::zero3(8),
+            ParallelismPlan::megatron(4, 2, 1),
+        ] {
+            let config = EngineConfig::single_server().with_parallelism(plan);
+            let err = crate::Engine::initialize(&empty, &config).err();
+            assert!(
+                matches!(err, Some(Error::BadReplanDelta("empty model"))),
+                "{plan:?}: {err:?}"
+            );
+        }
     }
 }

@@ -775,63 +775,6 @@ pub mod oracle {
     }
 }
 
-/// Build a [`SchedulerInput`] from a [`crate::tracer::Trace`], a page size,
-/// a data-parallel degree (ZeRO sharding denominator) and the GPU budget.
-pub fn input_from_trace(
-    trace: &crate::tracer::Trace,
-    page_size: u64,
-    dp_degree: usize,
-    gpu_budget: u64,
-) -> SchedulerInput {
-    assert!(dp_degree >= 1);
-    let layers = (0..trace.layers)
-        .map(|l| {
-            let full = trace.layer_param16_bytes(l);
-            let shard = full.div_ceil(dp_degree as u64);
-            let mut pages = Vec::with_capacity(shard.div_ceil(page_size.max(1)) as usize);
-            let mut rest = shard;
-            while rest > 0 {
-                let take = rest.min(page_size);
-                pages.push(take);
-                rest -= take;
-            }
-            LayerPlan {
-                layer: l,
-                shard_pages: pages,
-                full_param_bytes: full,
-                working_set: trace.layer_working_set(l),
-            }
-        })
-        .collect();
-    // Without recomputation, every layer's activations stay live from its
-    // forward to its backward; that accumulated load is outside this
-    // schedule's control but must constrain it.
-    let steps = SchedulerInput::default_steps(trace.layers);
-    let step_base_load = if trace.recompute {
-        Vec::new()
-    } else {
-        steps
-            .iter()
-            .enumerate()
-            .map(|(j, s)| {
-                (0..trace.layers)
-                    .filter(|&l| {
-                        l != s.layer() && trace.forward_id(l) <= j && j <= trace.backward_id(l)
-                    })
-                    .map(|l| trace.layer_activation_bytes(l))
-                    .sum()
-            })
-            .collect()
-    };
-    SchedulerInput {
-        layers,
-        steps,
-        gpu_budget,
-        page_size,
-        step_base_load,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1023,17 +966,30 @@ mod tests {
         assert_eq!(*s.trigger_offsets.last().unwrap(), s.tasks.len());
     }
 
+    /// `cfg`'s scheduler input as the engine shards it (ZeRO-3 over one
+    /// 8-GPU server, batch `b`, recomputation on), under `gpu_budget`.
+    fn sharded_input(
+        cfg: &angel_model::TransformerConfig,
+        b: u64,
+        gpu_budget: u64,
+    ) -> SchedulerInput {
+        let config = crate::EngineConfig::single_server().with_batch_size(b);
+        let traced = crate::plan::TracePlan::build(cfg, &config).unwrap();
+        let mut input = crate::plan::ShardPlan::build(cfg, &config, &traced).input;
+        input.gpu_budget = gpu_budget;
+        input
+    }
+
     #[test]
-    fn input_from_trace_wires_up() {
+    fn sharded_input_wires_up() {
         let cfg = angel_model::TransformerConfig::gpt3_1_7b()
             .with_layers(2)
             .with_seq_len(128);
-        let trace = crate::tracer::Tracer::default().trace(&cfg, 1, true);
-        let input = input_from_trace(&trace, crate::PAGE_SIZE_DEFAULT, 8, 1 << 33);
+        let input = sharded_input(&cfg, 1, 1 << 33);
         assert_eq!(input.layers.len(), 2);
         assert_eq!(input.steps.len(), 4);
         // Shard = full/8 rounded up into 4 MiB pages.
-        let full = trace.layer_param16_bytes(0);
+        let full = input.layers[0].full_param_bytes;
         let shard: u64 = input.layers[0].shard_pages.iter().sum();
         assert!(shard >= full / 8 && shard < full / 8 + crate::PAGE_SIZE_DEFAULT);
         let s = UnifiedScheduler::default().schedule(&input).unwrap();
@@ -1139,9 +1095,8 @@ mod tests {
         let cfg = angel_model::TransformerConfig::gpt3_1_7b()
             .with_layers(6)
             .with_seq_len(256);
-        let trace = crate::tracer::Tracer::default().trace(&cfg, 2, true);
         for budget_shift in [30, 31, 33] {
-            let input = input_from_trace(&trace, crate::PAGE_SIZE_DEFAULT, 8, 1 << budget_shift);
+            let input = sharded_input(&cfg, 2, 1 << budget_shift);
             assert_identical(&input, &UnifiedScheduler::default());
         }
     }

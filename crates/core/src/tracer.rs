@@ -69,13 +69,48 @@ impl TensorTrace {
     }
 }
 
+/// Per-layer byte totals, summed by the Tracer in its one pass over the
+/// inventory. Every later stage reads per-layer bytes from this table and
+/// never rescans the inventory.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LayerBytes {
+    /// Non-expert FP16 parameter bytes: ZeRO-sharded and gathered per use.
+    pub param16_dense: u64,
+    /// Expert FP16 parameter bytes over all experts. Under expert
+    /// parallelism they are partitioned whole-expert per rank and never
+    /// gathered.
+    pub param16_expert: u64,
+    /// Non-expert FP16 gradient bytes.
+    pub grad16_dense: u64,
+    /// Expert FP16 gradient bytes over all experts.
+    pub grad16_expert: u64,
+    /// Activation bytes.
+    pub activation: u64,
+}
+
+impl LayerBytes {
+    /// All FP16 parameter bytes of the layer.
+    pub fn param16(&self) -> u64 {
+        self.param16_dense + self.param16_expert
+    }
+
+    /// Peak transient working set of the layer on the GPU: activations it
+    /// produces (bounded to the layer when recomputation is on) plus its
+    /// gradient buffer.
+    pub fn working_set(&self) -> u64 {
+        self.activation + self.grad16_dense + self.grad16_expert
+    }
+}
+
 /// Everything the Unified Scheduler needs about one model: the op list, the
-/// inventory, and per-tensor traces.
+/// inventory, per-tensor traces and per-layer byte totals.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Trace {
     pub ops: Vec<OpKind>,
     pub inventory: Vec<TensorSpec>,
     pub tensors: Vec<TensorTrace>,
+    /// Byte totals of each layer, indexed by layer.
+    pub layer_bytes: Vec<LayerBytes>,
     pub layers: usize,
     pub recompute: bool,
 }
@@ -98,83 +133,48 @@ impl Trace {
     pub fn update_id(&self, l: usize) -> usize {
         2 * self.layers + (self.layers - 1 - l)
     }
+}
 
-    /// Bytes of model-state tensors belonging to layer `l` that must be
-    /// GPU-resident for its forward/backward (FP16 params).
-    pub fn layer_param16_bytes(&self, l: usize) -> u64 {
-        self.inventory
-            .iter()
-            .filter(|t| t.layer == l && t.class == TensorClass::Param16)
-            .map(|t| t.bytes)
-            .sum()
-    }
-
-    /// Split of layer `l`'s FP16 parameter bytes into (non-expert,
-    /// expert) parts. Under expert parallelism the expert part is *local*
-    /// to each rank (sharded by routing, never gathered), while the
-    /// non-expert part is ZeRO-sharded and gathered per use.
-    pub fn layer_param16_split(&self, l: usize) -> (u64, u64) {
-        let mut dense = 0;
-        let mut expert = 0;
-        for t in self
-            .inventory
-            .iter()
-            .filter(|t| t.layer == l && t.class == TensorClass::Param16)
-        {
-            if t.name.contains("expert") {
-                expert += t.bytes;
-            } else {
-                dense += t.bytes;
-            }
+/// Reference accounting for the tests: each quantity summed by its own full
+/// rescan of the inventory.
+#[cfg(test)]
+impl Trace {
+    pub(crate) fn rescan_layer_bytes(&self, l: usize) -> LayerBytes {
+        let sum = |class: TensorClass, expert: bool| -> u64 {
+            self.inventory
+                .iter()
+                .filter(|t| t.layer == l && t.class == class)
+                .filter(|t| t.name.contains("expert") == expert)
+                .map(|t| t.bytes)
+                .sum()
+        };
+        LayerBytes {
+            param16_dense: sum(TensorClass::Param16, false),
+            param16_expert: sum(TensorClass::Param16, true),
+            grad16_dense: sum(TensorClass::Grad16, false),
+            grad16_expert: sum(TensorClass::Grad16, true),
+            activation: sum(TensorClass::Activation, false) + sum(TensorClass::Activation, true),
         }
-        (dense, expert)
     }
+}
 
-    /// Peak transient working set of layer `l` on the GPU: activations it
-    /// produces (bounded to the layer when recomputation is on) plus its
-    /// gradient buffer.
-    pub fn layer_working_set(&self, l: usize) -> u64 {
-        self.layer_activation_bytes(l) + self.layer_grad16_split(l).0 + self.layer_grad16_split(l).1
+/// Sum every tensor's bytes into its layer's row, testing each name for
+/// "expert" once.
+fn layer_bytes_of(inventory: &[TensorSpec], layers: usize) -> Vec<LayerBytes> {
+    let mut table = vec![LayerBytes::default(); layers];
+    for t in inventory {
+        let row = &mut table[t.layer];
+        let slot = match t.class {
+            TensorClass::Param16 if t.name.contains("expert") => &mut row.param16_expert,
+            TensorClass::Param16 => &mut row.param16_dense,
+            TensorClass::Grad16 if t.name.contains("expert") => &mut row.grad16_expert,
+            TensorClass::Grad16 => &mut row.grad16_dense,
+            TensorClass::Activation => &mut row.activation,
+            TensorClass::Master32 | TensorClass::Momentum32 | TensorClass::Variance32 => continue,
+        };
+        *slot += t.bytes;
     }
-
-    /// Activation bytes of layer `l`.
-    pub fn layer_activation_bytes(&self, l: usize) -> u64 {
-        self.inventory
-            .iter()
-            .filter(|t| t.layer == l && t.class == TensorClass::Activation)
-            .map(|t| t.bytes)
-            .sum()
-    }
-
-    /// Split of layer `l`'s FP16 gradient bytes into (non-expert, expert)
-    /// parts, mirroring [`Trace::layer_param16_split`].
-    pub fn layer_grad16_split(&self, l: usize) -> (u64, u64) {
-        let mut dense = 0;
-        let mut expert = 0;
-        for t in self
-            .inventory
-            .iter()
-            .filter(|t| t.layer == l && t.class == TensorClass::Grad16)
-        {
-            if t.name.contains("expert") {
-                expert += t.bytes;
-            } else {
-                dense += t.bytes;
-            }
-        }
-        (dense, expert)
-    }
-
-    /// Total bytes live at logical id `id` — the peak-memory primitive used
-    /// by phase 2's OOM check.
-    pub fn live_bytes_at(&self, id: usize) -> u64 {
-        self.tensors
-            .iter()
-            .zip(&self.inventory)
-            .filter(|(tr, _)| tr.live_at(id))
-            .map(|(_, spec)| spec.bytes)
-            .sum()
-    }
+    table
 }
 
 /// The Tracer itself.
@@ -279,6 +279,7 @@ impl Tracer {
 
         Trace {
             ops,
+            layer_bytes: layer_bytes_of(&inventory, n),
             inventory,
             tensors,
             layers: n,
@@ -290,6 +291,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> TransformerConfig {
         TransformerConfig::gpt3_1_7b()
@@ -373,16 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn live_bytes_peak_midway() {
-        // Without recomputation, everything forward-produced is still live at
-        // the fwd/bwd boundary — the classic activation peak.
-        let trace = Tracer::default().trace(&small(), 2, false);
-        let at_start = trace.live_bytes_at(0);
-        let at_turn = trace.live_bytes_at(trace.layers - 1);
-        assert!(at_turn > at_start);
-    }
-
-    #[test]
     fn times_are_populated() {
         let trace = Tracer::default().trace(&small(), 2, true);
         assert!(trace.tensors.iter().any(|t| t.gpu_time > 0));
@@ -392,9 +384,45 @@ mod tests {
     #[test]
     fn layer_aggregates() {
         let trace = Tracer::default().trace(&small(), 2, true);
-        assert!(trace.layer_param16_bytes(0) > 0);
-        assert!(trace.layer_working_set(0) > trace.layer_param16_bytes(0) / 100);
+        let layer0 = trace.layer_bytes[0];
+        assert!(layer0.param16() > 0);
+        assert!(layer0.working_set() > layer0.param16() / 100);
         // All layers of a homogeneous GPT are identical.
-        assert_eq!(trace.layer_param16_bytes(0), trace.layer_param16_bytes(3));
+        assert_eq!(trace.layer_bytes.len(), 4);
+        assert_eq!(layer0, trace.layer_bytes[3]);
+    }
+
+    /// Any model the Tracer can meet: a dense GPT, or a T5-MoE with zero
+    /// (dense accounting), few or many experts.
+    fn any_model() -> impl Strategy<Value = TransformerConfig> {
+        (1usize..9, 0usize..4, 0usize..5).prop_map(|(layers, kind, e)| match kind {
+            0 => TransformerConfig::gpt3_1_7b()
+                .with_layers(layers)
+                .with_seq_len(128),
+            1 => TransformerConfig::gpt3_13b().with_layers(layers),
+            _ => TransformerConfig::t5_moe_1_2t()
+                .with_layers(layers)
+                .with_experts([0, 1, 6, 8, 64][e]),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The one-pass table agrees with a full inventory rescan per
+        /// layer, for dense and MoE models, with recomputation on and off.
+        #[test]
+        fn layer_bytes_match_inventory_rescans(
+            model in any_model(),
+            b in 1u64..5,
+            recompute in any::<bool>(),
+        ) {
+            let trace = Tracer::default().trace(&model, b, recompute);
+            prop_assert_eq!(trace.layer_bytes.len(), model.layers);
+            for l in 0..model.layers {
+                let (table, rescan) = (trace.layer_bytes[l], trace.rescan_layer_bytes(l));
+                prop_assert!(table == rescan, "layer {}: {:?} vs {:?}", l, table, rescan);
+            }
+        }
     }
 }
