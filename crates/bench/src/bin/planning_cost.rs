@@ -16,7 +16,7 @@
 use angel_bench::Experiment;
 use angel_core::plan::{ShardPlan, TracePlan};
 use angel_core::scheduler::{oracle, LayerPlan, Schedule, SchedulerInput, UnifiedScheduler};
-use angel_core::{EngineConfig, MetricsSnapshot, Planner, Recorder, ReplanDelta};
+use angel_core::{EngineConfig, MetricsSnapshot, Planner, Recorder};
 use angel_model::TransformerConfig;
 use std::time::Instant;
 
@@ -30,18 +30,15 @@ fn synthetic(layers: usize, pages_per_layer: usize, page: u64, dp: u64) -> Sched
     // ~20% of the total shard bytes fit: heavy phase-1 churn, and room for
     // phase-2 advancement in the backward half.
     let budget = (full + working_set).max(shard * layers as u64 / 5);
+    let layer = LayerPlan {
+        shard_pages: vec![page; pages_per_layer],
+        full_param_bytes: full,
+        working_set,
+    };
     SchedulerInput {
-        layers: (0..layers)
-            .map(|l| LayerPlan {
-                layer: l,
-                shard_pages: vec![page; pages_per_layer],
-                full_param_bytes: full,
-                working_set,
-            })
-            .collect(),
+        layers: vec![layer; layers],
         steps: SchedulerInput::default_steps(layers),
         gpu_budget: budget,
-        page_size: page,
         step_base_load: Vec::new(),
     }
 }
@@ -84,36 +81,20 @@ fn model_row(name: &'static str, cfg: &TransformerConfig, dp: usize, budget: u64
     Row { name, input }
 }
 
-/// A replan case: a named mutation of `base`, expressed both as the mutated
-/// input (for the from-scratch side) and as forward/reverse deltas (for the
-/// incremental side, applied alternately so each timed replan starts from a
-/// warm session with reusable buffers).
-struct DeltaCase {
+/// A replan case: a named mutation of `base`. The warm session replans
+/// alternately to `mutated` and back to `base`, so each timed replan starts
+/// from a warm session with reusable buffers; the from-scratch side plans
+/// `mutated`.
+struct ReplanCase {
     name: String,
     base: SchedulerInput,
     mutated: SchedulerInput,
 }
 
-impl DeltaCase {
-    fn single_layer(model: &str, base: &SchedulerInput) -> Self {
-        // A one-byte working-set nudge on one layer: the canonical local
-        // delta (an activation-footprint re-estimate). The forward nudge
-        // fits the recorded decision margins, so the planner revalidates
-        // and patches the timeline in place (the slack fast path); the
-        // reverse decrease replans in full.
-        let idx = base.layers.len() / 2;
-        let mut mutated = base.clone();
-        mutated.layers[idx].working_set += 1;
-        Self {
-            name: format!("replan-single-layer-{model}"),
-            base: base.clone(),
-            mutated,
-        }
-    }
-
+impl ReplanCase {
     fn outage(model: &str, base: &SchedulerInput) -> Self {
         // A degraded fleet tightens the budget by 1/16 — a pure capacity
-        // delta, the Engine::run_online outage splice.
+        // change, the Engine::run_online outage splice.
         let mut mutated = base.clone();
         mutated.gpu_budget -= mutated.gpu_budget / 16;
         Self {
@@ -124,8 +105,8 @@ impl DeltaCase {
     }
 
     fn resize(model: &str, base: &SchedulerInput, resized: &SchedulerInput) -> Self {
-        // Elastic resize dp 8 → 16: every layer's shard halves — the delta
-        // touches all layers and replans in full.
+        // Elastic resize dp 8 → 16: every layer's shard halves, so the
+        // replan touches all layers.
         Self {
             name: format!("replan-resize-{model}"),
             base: base.clone(),
@@ -242,26 +223,23 @@ fn main() {
     ] {
         let base = model_row("base", &cfg, 8, 30 * gib).input;
         let resized = model_row("resized", &cfg, 16, 30 * gib).input;
-        cases.push(DeltaCase::single_layer(model, &base));
-        cases.push(DeltaCase::outage(model, &base));
-        cases.push(DeltaCase::resize(model, &base, &resized));
+        cases.push(ReplanCase::outage(model, &base));
+        cases.push(ReplanCase::resize(model, &base, &resized));
     }
     for case in &cases {
-        let fwd = ReplanDelta::diff(&case.base, &case.mutated);
-        let rev = ReplanDelta::diff(&case.mutated, &case.base);
         let mut planner = Planner::new(sched.clone(), case.base.clone()).expect("feasible base");
-        // Alternate forward/reverse applies: each timed replan runs on a
+        // Alternate forward/reverse replans: each timed replan runs on a
         // warm session whose timeline and emission buffers are reused
         // (reset, not reallocated). Best-of over both directions.
         let mut inc_s = f64::INFINITY;
         for _ in 0..reps {
-            for delta in [&fwd, &rev] {
+            for next in [&case.mutated, &case.base] {
                 let t0 = Instant::now();
-                planner.replan(delta).expect("feasible delta");
+                planner.replan(next).expect("feasible input");
                 inc_s = inc_s.min(t0.elapsed().as_secs_f64());
             }
         }
-        planner.replan(&fwd).expect("feasible delta"); // land on `mutated`
+        planner.replan(&case.mutated).expect("feasible input"); // land on `mutated`
         let outcome = planner.last_outcome();
         let (full_s, full): (f64, Schedule) =
             time_best(reps, || sched.schedule(&case.mutated).expect("feasible"));

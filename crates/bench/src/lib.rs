@@ -190,22 +190,6 @@ mod tests {
             speedup >= 10.0,
             "recorded speedup regressed below the 10x acceptance bar: {speedup}"
         );
-        // Incremental replanning: a warm session absorbing a single-layer
-        // delta at the trillion-parameter scale must beat a from-scratch
-        // schedule by ≥ 10x (the slack fast path lands orders beyond), with
-        // byte-identity asserted by the bench itself and most of the model
-        // reused.
-        let replan = inputs
-            .iter()
-            .find(|r| r["name"].as_str() == Some("replan-single-layer-gpt3-1t"))
-            .expect("incremental replan acceptance row");
-        let inc = replan["speedup"].as_f64().unwrap();
-        assert!(
-            inc >= 10.0,
-            "incremental replan regressed below the 10x acceptance bar: {inc}"
-        );
-        assert_eq!(replan["identical"].as_bool(), Some(true));
-        assert!(replan["layers_reused"].as_u64().unwrap() >= 500);
     }
 
     /// The checked-in allocation-churn baseline must stay parseable and

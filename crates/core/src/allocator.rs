@@ -952,7 +952,7 @@ impl PageAllocator {
     ///
     /// 1. **In-place squeeze** — a page whose co-tenant departed keeps a
     ///    stranded gap below its bump cursor; repack its survivors to
-    ///    offset 0 ([`Page::compact_tenants`]).
+    ///    offset 0 (`Page::compact_tenants`).
     /// 2. **Consolidation** — greedily best-fit the smallest single-tenant
     ///    partial page's range into another partial page (the same
     ///    machinery as `move_tensor`'s shared path, intra-device), freeing

@@ -95,8 +95,8 @@ pub struct RunReport {
 pub enum ClusterEvent {
     /// A transient resource outage during iteration `at_iter`. The topology
     /// is unchanged, but the engine treats the fault as a degraded-headroom
-    /// signal: the splice replans with a tightened GPU budget (capacity
-    /// delta) so subsequent iterations keep slack for re-executed work.
+    /// signal: the splice replans with a tightened GPU budget (a capacity
+    /// change) so subsequent iterations keep slack for re-executed work.
     Outage {
         at_iter: usize,
         target: FaultTarget,
@@ -618,7 +618,7 @@ impl Engine {
                 let splice = match *ev {
                     // Degraded headroom: tighten the budget by 1/16 of
                     // the current GPU budget (accumulates across
-                    // outages) — a pure capacity delta for the planner.
+                    // outages) — a pure capacity change for the planner.
                     ClusterEvent::Outage { .. } => {
                         let tightened = self.config.gpu_reserved + self.config.gpu_budget() / 16;
                         self.resplice(k, self.config.cluster.num_servers, tightened)?

@@ -150,12 +150,11 @@ pub enum Error {
     /// tensors. Silently replacing it would zero `used_pages`/`tenant_bytes`
     /// under the residents and corrupt every stat and gauge afterwards.
     PoolInUse { device: DeviceId, used_pages: usize },
-    /// A [`crate::replan::ReplanDelta`] or a scheduler input is malformed
-    /// (empty model, out-of-range or duplicate layer index, layer-count
-    /// change without a step list, a step referencing a missing layer,
-    /// ...). The planner rejects it without mutating its state, so the
-    /// previous plan stays live.
-    BadReplanDelta(&'static str),
+    /// A scheduler input is malformed (empty model, a step base load whose
+    /// length is neither 0 nor the step count, a step referencing a missing
+    /// layer, a layer without a compute step). The planner rejects it
+    /// without mutating its state, so the previous plan stays live.
+    BadSchedulerInput(&'static str),
     /// A [`crate::ClusterEvent::ServerLoss`] destroyed the entire fleet:
     /// no server survives to replan onto. Earlier versions silently
     /// respliced onto one phantom server; total loss is terminal and must
@@ -212,7 +211,7 @@ impl fmt::Display for Error {
                 f,
                 "pool on {device} still holds {used_pages} used page(s); release its tensors before re-registering"
             ),
-            Error::BadReplanDelta(msg) => write!(f, "bad replan delta: {msg}"),
+            Error::BadSchedulerInput(msg) => write!(f, "bad scheduler input: {msg}"),
             Error::ClusterExhausted {
                 had_servers,
                 lost_servers,

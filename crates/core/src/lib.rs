@@ -102,7 +102,7 @@ pub use plan::{
     lower_schedule, FaultTarget, Lowering, LoweringConfig, MemoryPlan, ParallelismPlan, Placement,
     SchedulePlan, ShardPlan, TracePlan, ZeroStage,
 };
-pub use replan::{Planner, ReplanDelta, ReplanOutcome};
+pub use replan::{Planner, ReplanOutcome};
 pub use scheduler::{ScheduleTask, TaskOp, UnifiedScheduler};
 pub use tensor::{Tensor, TensorId};
 pub use tracer::{TensorTrace, Tracer};

@@ -747,7 +747,7 @@ impl LockFreeTrainer {
 
     /// Staleness proxy: pushed-but-not-yet-settled gradient micro-batches.
     ///
-    /// I2: [`Shared::pending_now`] loads `settled` FIRST, with Acquire.
+    /// I2: `Shared::pending_now` loads `settled` FIRST, with Acquire.
     /// Every settle is a Release increment that happens-after the matching
     /// push (channel + mutex), so the later Relaxed `pushed` load sees at
     /// least the pushes of everything settled in the snapshot:
@@ -1159,7 +1159,7 @@ fn updating_loop(
 }
 
 /// The pure arithmetic of the consistency-control protocol, extracted so
-/// the production threads ([`buffering_loop`], [`updating_loop`]) and the
+/// the production threads (`buffering_loop`, `updating_loop`) and the
 /// bounded model checker ([`crate::verify::model`]) execute the *same*
 /// decision logic — a checker over a diverged copy would prove nothing.
 pub mod protocol {

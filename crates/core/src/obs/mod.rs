@@ -5,7 +5,7 @@
 //! and hierarchical-memory peaks (Table 4). The simulator has had a
 //! chrome-trace export since PR 1; this module gives the *real* runtime —
 //! [`PageAllocator`](crate::PageAllocator), the
-//! [`LockFreeTrainer`](crate::LockFreeTrainer)'s OS threads, the
+//! [`LockFreeTrainer`](crate::lockfree::LockFreeTrainer)'s OS threads, the
 //! [`Engine`](crate::Engine) iteration loop — the same visibility, and
 //! merges both halves into one Perfetto file.
 //!

@@ -234,7 +234,7 @@ impl Lowering {
             .submit_now(&mut self.sim, Collective::ReduceScatter, bytes, deps, label)
     }
 
-    /// The dp-group gradient synchronization of a [`ParallelismPlan`]:
+    /// The dp-group gradient synchronization of a [`ParallelismPlan`](super::ParallelismPlan):
     /// reduce-scatter under ZeRO-3, all-reduce for replicated stages.
     pub fn grad_sync(
         &mut self,

@@ -12,7 +12,7 @@
 use crate::cache::{plan_cache, CachePlan};
 use crate::config::EngineConfig;
 use crate::error::Result;
-use crate::replan::{Planner, ReplanDelta};
+use crate::replan::Planner;
 use crate::scheduler::{Schedule, UnifiedScheduler};
 use crate::zero::ZeroPartition;
 
@@ -43,9 +43,9 @@ impl SchedulePlan {
 
     /// [`SchedulePlan::build`] through a persistent [`Planner`] session.
     /// When `planner` holds a session with the same scheduler
-    /// configuration, the new shard input is planned as a [`ReplanDelta`]
-    /// against the previous one, reusing the session's buffers, and the
-    /// session's [`crate::ReplanOutcome`] reports what carried over.
+    /// configuration, the session replans for the new shard input, reusing
+    /// its buffers, and its [`crate::ReplanOutcome`] reports what carried
+    /// over.
     /// Otherwise (first plan, or a configuration change) a fresh session is
     /// created and stored. Either way the resulting schedule is
     /// byte-identical to [`UnifiedScheduler::schedule`] on `shard.input`,
@@ -64,8 +64,7 @@ impl SchedulePlan {
         };
         let schedule = match planner {
             Some(p) if *p.scheduler() == sched => {
-                let delta = ReplanDelta::diff(p.input(), &shard.input);
-                p.replan(&delta)?;
+                p.replan(&shard.input)?;
                 p.schedule().clone()
             }
             _ => {

@@ -123,11 +123,9 @@ fn mesh_input(
     let stage = &trace.layer_bytes[..plan.stage_layers(trace.layers)];
     let layers = stage
         .iter()
-        .enumerate()
-        .map(|(l, b)| {
+        .map(|b| {
             let full = b.param16().div_ceil(tp);
             LayerPlan {
-                layer: l,
                 shard_pages: split_pages(full.div_ceil(plan.param_shard_ranks()), page_size),
                 full_param_bytes: full,
                 working_set: b.working_set().div_ceil(tp),
@@ -135,7 +133,7 @@ fn mesh_input(
         })
         .collect();
     let activation: Vec<u64> = stage.iter().map(|b| b.activation.div_ceil(tp)).collect();
-    scheduler_input(layers, &activation, trace.recompute, page_size, gpu_budget)
+    scheduler_input(layers, &activation, trace.recompute, gpu_budget)
 }
 
 /// Scheduler input under expert parallelism: the dense fraction of every
@@ -160,11 +158,9 @@ fn moe_input(
     let layers = trace
         .layer_bytes
         .iter()
-        .enumerate()
-        .map(|(l, b)| {
+        .map(|b| {
             let local_experts = local(b.param16_expert);
             LayerPlan {
-                layer: l,
                 shard_pages: split_pages(
                     b.param16_dense.div_ceil(n_gpus as u64) + local_experts,
                     page_size,
@@ -175,7 +171,7 @@ fn moe_input(
         })
         .collect();
     let activation: Vec<u64> = trace.layer_bytes.iter().map(|b| b.activation).collect();
-    scheduler_input(layers, &activation, trace.recompute, page_size, gpu_budget)
+    scheduler_input(layers, &activation, trace.recompute, gpu_budget)
 }
 
 /// Split a shard of `bytes` into `page_size` pages, the last one partial.
@@ -196,7 +192,6 @@ fn scheduler_input(
     layers: Vec<LayerPlan>,
     activation: &[u64],
     recompute: bool,
-    page_size: u64,
     gpu_budget: u64,
 ) -> SchedulerInput {
     SchedulerInput {
@@ -208,7 +203,6 @@ fn scheduler_input(
         },
         layers,
         gpu_budget,
-        page_size,
     }
 }
 
@@ -464,7 +458,6 @@ mod tests {
                     (full, full.div_ceil(plan.param_shard_ranks()), ws)
                 };
                 LayerPlan {
-                    layer: l,
                     shard_pages: paged(shard),
                     full_param_bytes: full,
                     working_set,
@@ -492,7 +485,6 @@ mod tests {
             layers,
             steps,
             gpu_budget: config.gpu_budget(),
-            page_size: config.page_size,
             step_base_load,
         };
         (input, comm)

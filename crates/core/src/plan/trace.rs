@@ -35,11 +35,11 @@ pub struct TracePlan {
 impl TracePlan {
     /// Run the Tracer over `model` under `config`'s batch/recompute policy
     /// and validate the parallelism plan against the cluster. A model with
-    /// no layers is rejected as `BadReplanDelta("empty model")` under every
+    /// no layers is rejected as `BadSchedulerInput("empty model")` under every
     /// plan.
     pub fn build(model: &TransformerConfig, config: &EngineConfig) -> Result<Self> {
         if model.layers == 0 {
-            return Err(Error::BadReplanDelta("empty model"));
+            return Err(Error::BadSchedulerInput("empty model"));
         }
         let plan = config.parallelism;
         let mesh = config.device_mesh()?;
@@ -149,7 +149,7 @@ mod tests {
             let config = EngineConfig::single_server().with_parallelism(plan);
             let err = crate::Engine::initialize(&empty, &config).err();
             assert!(
-                matches!(err, Some(Error::BadReplanDelta("empty model"))),
+                matches!(err, Some(Error::BadSchedulerInput("empty model"))),
                 "{plan:?}: {err:?}"
             );
         }

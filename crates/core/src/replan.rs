@@ -12,122 +12,38 @@
 //! range per same-layer batch, exactly the batches the per-page stack loops
 //! of the reference planner drain, found by binary searches on cached
 //! per-layer page-prefix sums. A session keeps its input, timeline,
-//! decisions and emitted schedule alive across [`Planner::replan`] calls,
-//! and serves a [`ReplanDelta`] — layers touched, steps removed/added,
-//! capacity changed — by one of two paths:
-//!
-//! 1. **Empty delta or slack fast path.** An empty delta returns at once. A
-//!    working-set-only increase that fits inside every margin the last
-//!    decision pass recorded provably flips no greedy choice: it patches
-//!    the timeline at the touched steps and the peak statistic, and keeps
-//!    the decisions and the task list as they are.
-//! 2. **Full replan.** Otherwise the delta is applied, the timeline is
-//!    re-armed in place (reusing every buffer), the decision phases rerun
-//!    and the task list is re-emitted.
+//! decisions and emitted schedule alive across [`Planner::replan`] calls.
+//! Each call takes the next [`SchedulerInput`] whole, as the paper's
+//! scheduler plans each iteration from the traced input: an identical input
+//! returns at once; any other input re-arms the timeline in place (reusing
+//! every buffer), reruns the decision phases and re-emits the task list.
 //!
 //! [`UnifiedScheduler::schedule`] is a one-shot session. The per-page
 //! reference `crate::scheduler::oracle` is the independent check: the unit
-//! tests and a proptest over random mutation sequences below prove every
+//! tests and a proptest over random input sequences below prove every
 //! session state byte-identical (tasks, offsets, stats) to it. DESIGN.md
-//! §14 gives the delta model and the splice-soundness argument built on
+//! §14 gives the session model and the splice-soundness argument built on
 //! this identity.
 
 use crate::error::{Error, Result};
 use crate::scheduler::{
-    LayerPlan, PlannedPage, Schedule, ScheduleStats, ScheduleTask, SchedulerInput, StepKind,
-    TaskOp, TimelineState, UnifiedScheduler,
+    PlannedPage, Schedule, ScheduleStats, ScheduleTask, SchedulerInput, TaskOp, TimelineState,
+    UnifiedScheduler,
 };
 use serde::{Deserialize, Serialize};
-
-/// A mutation of the scheduler input between plans. Empty fields mean
-/// "unchanged"; [`ReplanDelta::diff`] computes the minimal delta between two
-/// inputs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ReplanDelta {
-    /// Replaced layer plans at existing indices (each index at most once).
-    pub layers: Vec<(usize, LayerPlan)>,
-    /// Wholesale layer-list replacement (elastic resize reshaping every
-    /// shard). Mutually exclusive with `layers`; a layer-*count* change
-    /// additionally requires `steps`.
-    pub replace_layers: Option<Vec<LayerPlan>>,
-    /// New GPU byte budget (degraded headroom / elastic capacity change).
-    pub gpu_budget: Option<u64>,
-    /// Replacement compute-step list (steps removed/added).
-    pub steps: Option<Vec<StepKind>>,
-    /// Replacement per-step base load.
-    pub step_base_load: Option<Vec<u64>>,
-    /// New page size (carried through to consumers; no scheduling effect).
-    pub page_size: Option<u64>,
-}
-
-impl ReplanDelta {
-    /// A single-layer replacement.
-    pub fn layer(idx: usize, plan: LayerPlan) -> Self {
-        Self {
-            layers: vec![(idx, plan)],
-            ..Self::default()
-        }
-    }
-
-    /// A capacity-only change (outage headroom, elastic budget).
-    pub fn capacity(gpu_budget: u64) -> Self {
-        Self {
-            gpu_budget: Some(gpu_budget),
-            ..Self::default()
-        }
-    }
-
-    /// The minimal delta turning `old` into `new`.
-    pub fn diff(old: &SchedulerInput, new: &SchedulerInput) -> Self {
-        let mut d = Self::default();
-        if old.gpu_budget != new.gpu_budget {
-            d.gpu_budget = Some(new.gpu_budget);
-        }
-        if old.page_size != new.page_size {
-            d.page_size = Some(new.page_size);
-        }
-        if old.steps != new.steps {
-            d.steps = Some(new.steps.clone());
-        }
-        if old.step_base_load != new.step_base_load {
-            d.step_base_load = Some(new.step_base_load.clone());
-        }
-        if old.layers.len() != new.layers.len() {
-            d.replace_layers = Some(new.layers.clone());
-            if d.steps.is_none() {
-                d.steps = Some(new.steps.clone());
-            }
-        } else {
-            for (i, (a, b)) in old.layers.iter().zip(&new.layers).enumerate() {
-                if a.layer != b.layer
-                    || a.full_param_bytes != b.full_param_bytes
-                    || a.working_set != b.working_set
-                    || a.shard_pages != b.shard_pages
-                {
-                    d.layers.push((i, b.clone()));
-                }
-            }
-        }
-        d
-    }
-
-    pub fn is_empty(&self) -> bool {
-        *self == Self::default()
-    }
-}
 
 /// What a replan reused versus recomputed — the observability payload
 /// behind the `plan.layers_reused` counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplanOutcome {
-    /// Layers whose `LayerPlan` the delta replaced.
+    /// Layers whose `LayerPlan` differs from the previous input's at the
+    /// same position, plus any the new input appends.
     pub layers_touched: usize,
     /// Layers whose decisions *and* task slots carried over verbatim: every
-    /// untouched layer on the fast path or an empty delta, none on a full
-    /// replan.
+    /// layer when the input was unchanged, none otherwise.
     pub layers_reused: usize,
-    /// Whether the previous decisions and task list were kept — the slack
-    /// fast path or an empty delta — rather than replanned in full.
+    /// Whether the input was identical to the previous one, so the previous
+    /// decisions and task list were kept rather than replanned.
     pub patched_in_place: bool,
 }
 
@@ -154,7 +70,7 @@ struct ReaddEvent {
 
 /// A persistent [`UnifiedScheduler`] session: it keeps its input, timeline,
 /// decision runs and emitted schedule alive across [`Planner::replan`]
-/// calls, so each delta reuses every buffer. Every state is byte-identical
+/// calls, so each replan reuses every buffer. Every state is byte-identical
 /// to a from-scratch plan of the current input.
 pub struct Planner {
     sched: UnifiedScheduler,
@@ -176,37 +92,21 @@ pub struct Planner {
     trig_cur: Vec<usize>,
     trig_steps: Vec<usize>,
     last_outcome: ReplanOutcome,
-    // Decision-margin evidence recorded by the last full `plan_decisions`
-    // pass, consumed by the slack fast path (see `try_slack_fast_path`).
-    /// Per step: how many extra bytes the step can absorb before its phase-1
-    /// eviction check flips. `0` where an eviction committed; `u64::MAX`
-    /// where the step is unconstrained.
-    slack: Vec<u64>,
-    /// Phase-2 spans `(lo, hi, margin)`: each fired gather advance and the
-    /// minimum margin by which its stop point held over `[lo, hi]`.
-    p2_spans: Vec<(usize, usize, u64)>,
-    /// Re-add commits `(layer, trigger, last_use)`: the capacity query
-    /// behind each committed re-add read the range `[trigger, last_use]`
-    /// minus the layer's own steps, so a byte change to any step in there
-    /// could have changed the committed batch.
-    poisoned: Vec<(usize, usize, usize)>,
 }
 
 impl Planner {
     /// Plan `input` from scratch and open a session.
     pub fn new(sched: UnifiedScheduler, input: SchedulerInput) -> Result<Self> {
-        check_input(
-            input.layers.len(),
-            |l| &input.layers[l],
-            &input.steps,
-            &input.step_base_load,
-            input.gpu_budget,
-        )?;
+        check_input(&input)?;
         let timeline = TimelineState::new(&input);
         let mut planner = Self {
             sched,
             timeline,
-            page_prefix: input.layers.iter().map(prefix_of).collect(),
+            page_prefix: input
+                .layers
+                .iter()
+                .map(|l| prefix_of(&l.shard_pages))
+                .collect(),
             input,
             moves: Vec::new(),
             readds: Vec::new(),
@@ -217,9 +117,6 @@ impl Planner {
             trig_cur: Vec::new(),
             trig_steps: Vec::new(),
             last_outcome: ReplanOutcome::default(),
-            slack: Vec::new(),
-            p2_spans: Vec::new(),
-            poisoned: Vec::new(),
         };
         planner.plan_decisions();
         planner.emit();
@@ -242,7 +139,7 @@ impl Planner {
         self.schedule
     }
 
-    /// The current (post-delta) scheduler input.
+    /// The input the current schedule was planned from.
     pub fn input(&self) -> &SchedulerInput {
         &self.input
     }
@@ -257,104 +154,33 @@ impl Planner {
         self.last_outcome
     }
 
-    /// Apply `delta` and replan. On `Err` the planner is untouched
-    /// (validation and feasibility run before any mutation) and the previous
-    /// schedule stays live.
-    pub fn replan(&mut self, delta: &ReplanDelta) -> Result<ReplanOutcome> {
-        let n_old = self.input.layers.len();
-        if delta.is_empty() {
+    /// Replan the session for `next`, its next scheduler input. On `Err`
+    /// the planner is untouched (validation and feasibility run before any
+    /// mutation) and the previous schedule stays live.
+    pub fn replan(&mut self, next: &SchedulerInput) -> Result<ReplanOutcome> {
+        check_input(next)?;
+        if *next == self.input {
             self.last_outcome = ReplanOutcome {
                 layers_touched: 0,
-                layers_reused: n_old,
+                layers_reused: next.layers.len(),
                 patched_in_place: true,
             };
             return Ok(self.last_outcome);
         }
-
-        // ---- Validate against the prospective input; mutate nothing. ----
-        let n_new = delta.replace_layers.as_ref().map_or(n_old, Vec::len);
-        if let Some(rl) = &delta.replace_layers {
-            if !delta.layers.is_empty() {
-                return Err(Error::BadReplanDelta(
-                    "replace_layers and per-index layers are mutually exclusive",
-                ));
+        let mut layers_touched = 0;
+        self.page_prefix.resize_with(next.layers.len(), Vec::new);
+        for (l, new) in next.layers.iter().enumerate() {
+            let old = self.input.layers.get(l);
+            if old != Some(new) {
+                layers_touched += 1;
             }
-            if rl.len() != n_old && delta.steps.is_none() {
-                return Err(Error::BadReplanDelta(
-                    "layer-count change requires a replacement step list",
-                ));
+            if old.map(|o| &o.shard_pages) != Some(&new.shard_pages) {
+                self.page_prefix[l] = prefix_of(&new.shard_pages);
             }
         }
-        let mut replaced_at: Vec<Option<usize>> = vec![None; n_old];
-        for (k, (idx, _)) in delta.layers.iter().enumerate() {
-            if *idx >= n_old {
-                return Err(Error::BadReplanDelta("layer index out of range"));
-            }
-            if replaced_at[*idx].is_some() {
-                return Err(Error::BadReplanDelta("duplicate layer index"));
-            }
-            replaced_at[*idx] = Some(k);
-        }
-        check_input(
-            n_new,
-            |l| match &delta.replace_layers {
-                Some(rl) => &rl[l],
-                None => replaced_at[l].map_or(&self.input.layers[l], |k| &delta.layers[k].1),
-            },
-            delta.steps.as_deref().unwrap_or(&self.input.steps),
-            delta
-                .step_base_load
-                .as_deref()
-                .unwrap_or(&self.input.step_base_load),
-            delta.gpu_budget.unwrap_or(self.input.gpu_budget),
-        )?;
-
-        // ---- Slack fast path. ----
-        // A working-set-only increase that fits inside every recorded
-        // decision margin provably flips no greedy choice, so the whole
-        // decision replay — and the emission behind it — can be skipped:
-        // the replan is a handful of O(log steps) point patches.
-        if delta.steps.is_none()
-            && delta.step_base_load.is_none()
-            && delta.replace_layers.is_none()
-            && delta.gpu_budget.is_none()
-            && delta.page_size.is_none()
-        {
-            if let Some(outcome) = self.try_slack_fast_path(&delta.layers) {
-                self.last_outcome = outcome;
-                return Ok(outcome);
-            }
-        }
-
-        // ---- Apply the delta and replan in full. ----
-        let layers_touched = if let Some(rl) = &delta.replace_layers {
-            self.input.layers.clone_from(rl);
-            self.page_prefix.clear();
-            self.page_prefix
-                .extend(self.input.layers.iter().map(prefix_of));
-            n_new
-        } else {
-            for (idx, lp) in &delta.layers {
-                if self.input.layers[*idx].shard_pages != lp.shard_pages {
-                    self.page_prefix[*idx] = prefix_of(lp);
-                }
-                self.input.layers[*idx] = lp.clone();
-            }
-            delta.layers.len()
-        };
-        if let Some(s) = &delta.steps {
-            self.input.steps.clone_from(s);
-        }
-        if let Some(b) = &delta.step_base_load {
-            self.input.step_base_load.clone_from(b);
-        }
-        if let Some(b) = delta.gpu_budget {
-            self.input.gpu_budget = b;
-        }
-        if let Some(p) = delta.page_size {
-            self.input.page_size = p;
-        }
-        self.timeline.reset(&self.input, delta.steps.is_some());
+        let steps_changed = self.input.steps != next.steps;
+        self.input.clone_from(next);
+        self.timeline.reset(&self.input, steps_changed);
         self.plan_decisions();
         self.emit();
         self.last_outcome = ReplanOutcome {
@@ -363,97 +189,6 @@ impl Planner {
             patched_in_place: false,
         };
         Ok(self.last_outcome)
-    }
-
-    /// The delta fast path: commit a pure working-set *increase* without
-    /// re-running any decision phase, or return `None` for the slow path.
-    ///
-    /// Soundness (DESIGN.md §14): with steps, base load, budget, page size,
-    /// shard pages and full bytes all unchanged, the only timeline values
-    /// that differ from the previous plan's are the touched layers' own
-    /// compute steps, each higher by its layer's increase `d` — every
-    /// decision mutation is a value-independent range-add, so the shift
-    /// persists through an identical decision replay by induction. The
-    /// replay *is* identical when every value the greedy pass branches on
-    /// keeps its branch:
-    ///
-    /// - phase-1 fit checks read only their own step; `d ≤ slack[s]` keeps
-    ///   the break (and a step whose eviction loop emptied the stack while
-    ///   over budget stays over budget — increases preserve it for free);
-    /// - committed re-adds chose their batch from a capacity query over
-    ///   `[trigger, last_use]` minus the re-added layer's own steps — a
-    ///   touched step inside such a range (`poisoned`) rejects the fast
-    ///   path, while *failed* queries are increase-monotone: a shrunken
-    ///   capacity still fails;
-    /// - a fired phase-2 advance stopped at the last step above its
-    ///   threshold; `d ≤ margin` for every touched step inside the advanced
-    ///   span keeps that stop point, and non-fired advances stay non-fired
-    ///   because increases only move the blocking step later.
-    ///
-    /// Decisions, task buffer and trigger layout are then reused verbatim;
-    /// only the timeline tree, the consumed margins and the timeline-derived
-    /// peak statistic are patched.
-    fn try_slack_fast_path(&mut self, layers: &[(usize, LayerPlan)]) -> Option<ReplanOutcome> {
-        // Certify every touched step before mutating anything.
-        for (idx, lp) in layers {
-            let old = &self.input.layers[*idx];
-            if lp.layer != old.layer
-                || lp.full_param_bytes != old.full_param_bytes
-                || lp.shard_pages != old.shard_pages
-            {
-                return None;
-            }
-            // Decreases take the slow path: margins only certify increases.
-            let d = lp.working_set.checked_sub(old.working_set)?;
-            if d == 0 {
-                continue;
-            }
-            for &s in self.timeline.steps_of(*idx) {
-                if d > self.slack[s] {
-                    return None;
-                }
-                if self
-                    .p2_spans
-                    .iter()
-                    .any(|&(lo, hi, margin)| lo <= s && s <= hi && d > margin)
-                {
-                    return None;
-                }
-                if self
-                    .poisoned
-                    .iter()
-                    .any(|&(l, t, lu)| t <= s && s <= lu && !self.timeline.is_own_step(l, s))
-                {
-                    return None;
-                }
-            }
-        }
-        // Commit: point-patch the trees, consume the margins, refresh the
-        // one statistic that reads timeline values.
-        for (idx, lp) in layers {
-            let d = lp.working_set - self.input.layers[*idx].working_set;
-            if d > 0 {
-                for &s in self.timeline.steps_of(*idx) {
-                    self.slack[s] = self.slack[s].saturating_sub(d);
-                    for (lo, hi, margin) in &mut self.p2_spans {
-                        if *lo <= s && s <= *hi {
-                            // Saturating: a span holding several touched
-                            // steps shrinks once per step, which can
-                            // overshoot the true (per-step) margin loss.
-                            *margin = margin.saturating_sub(d);
-                        }
-                    }
-                }
-                self.timeline.nudge_own_steps(*idx, d);
-            }
-            self.input.layers[*idx] = lp.clone();
-        }
-        self.schedule.stats.peak_gpu_bytes = self.timeline.peak();
-        Some(ReplanOutcome {
-            layers_touched: layers.len(),
-            layers_reused: self.input.layers.len() - layers.len(),
-            patched_in_place: true,
-        })
     }
 
     /// Phase 1 + phase 2 over runs: the greedy decisions of the reference
@@ -470,19 +205,10 @@ impl Planner {
             gathers_advanced,
             sched,
             wait,
-            slack,
-            p2_spans,
-            poisoned,
             ..
         } = self;
         let input = &*input;
         let n_steps = input.steps.len();
-        // Fresh margin evidence for the slack fast path: every decision this
-        // pass makes records how far it was from flipping.
-        slack.clear();
-        slack.resize(n_steps, u64::MAX);
-        p2_spans.clear();
-        poisoned.clear();
         moves.clear();
         for (li, layer) in input.layers.iter().enumerate() {
             if !layer.shard_pages.is_empty() {
@@ -495,32 +221,17 @@ impl Planner {
         }
         readds.clear();
         wait.clear();
-        // `i` indexes the timeline, the wait stacks and `slack` alike.
-        #[allow(clippy::needless_range_loop)]
         for i in 0..n_steps {
             // Eviction: pop the minimal top batch that brings step `i` under
             // budget (whole run when net-zero at `i` or insufficient).
-            let mut evicted_here = false;
             loop {
                 let current = timeline.step_total(i);
                 if current <= input.gpu_budget {
-                    // The margin before this fit check flips. A committed
-                    // eviction's batch size also read step `i`, so any
-                    // increase there changes the cut: no slack.
-                    slack[i] = if evicted_here {
-                        0
-                    } else {
-                        input.gpu_budget - current
-                    };
                     break;
                 }
                 let Some(&top) = moves.last() else {
-                    if evicted_here {
-                        slack[i] = 0;
-                    }
                     break;
                 };
-                evicted_here = true;
                 let l = top.layer;
                 let p = &page_prefix[l];
                 let len = top.hi - top.lo;
@@ -613,10 +324,6 @@ impl Planner {
                     break; // head of the group does not fit
                 }
                 timeline.readd(l, batch, t);
-                // The committed batch came from a capacity query over
-                // `[t, last_use(l)]` minus `l`'s own steps: increases inside
-                // that range invalidate the batch choice.
-                poisoned.push((l, t, timeline.last_use(l)));
                 wait.truncate(wait.len() - drained_runs);
                 if !group_done {
                     if partial > 0 {
@@ -631,7 +338,7 @@ impl Planner {
         *gathers_advanced = 0;
         if sched.phase2 {
             for i in 0..n_steps {
-                if timeline.advance_gather(input, i, sched.prefetch_horizon, p2_spans) {
+                if timeline.advance_gather(input, i, sched.prefetch_horizon) {
                     *gathers_advanced += 1;
                 }
             }
@@ -718,51 +425,51 @@ impl Planner {
 }
 
 /// Per-layer page prefix sums: `prefix[i]` = bytes of the first `i` pages.
-fn prefix_of(layer: &LayerPlan) -> Vec<u64> {
-    let mut p = Vec::with_capacity(layer.shard_pages.len() + 1);
+fn prefix_of(pages: &[u64]) -> Vec<u64> {
+    let mut p = Vec::with_capacity(pages.len() + 1);
     p.push(0);
     let mut acc = 0u64;
-    for &b in &layer.shard_pages {
+    for &b in pages {
         acc += b;
         p.push(acc);
     }
     p
 }
 
-/// The feasibility check every plan and replan runs before it touches any
-/// session state: a non-empty model, every step naming an existing layer,
-/// every layer computed at least once, and every step fitting the budget
-/// with nothing evictable resident (gathered parameters + working set +
-/// external base load). `layer(l)` resolves layer `l` of the checked —
-/// possibly prospective — input.
-fn check_input<'a>(
-    n_layers: usize,
-    layer: impl Fn(usize) -> &'a LayerPlan,
-    steps: &[StepKind],
-    base: &[u64],
-    budget: u64,
-) -> Result<()> {
+/// The check every plan and replan runs on its input before it touches any
+/// session state: a non-empty model, a base load that is empty or covers
+/// every step, every step naming an existing layer, every layer computed at
+/// least once, and every step fitting the budget with nothing evictable
+/// resident (gathered parameters + working set + external base load).
+fn check_input(input: &SchedulerInput) -> Result<()> {
+    let n_layers = input.layers.len();
     if n_layers == 0 {
-        return Err(Error::BadReplanDelta("empty model"));
+        return Err(Error::BadSchedulerInput("empty model"));
+    }
+    let base = &input.step_base_load;
+    if !base.is_empty() && base.len() != input.steps.len() {
+        return Err(Error::BadSchedulerInput(
+            "step base load length differs from the step count",
+        ));
     }
     let mut covered = vec![false; n_layers];
-    for (j, s) in steps.iter().enumerate() {
+    for (j, s) in input.steps.iter().enumerate() {
         let l = s.layer();
         if l >= n_layers {
-            return Err(Error::BadReplanDelta("step references a missing layer"));
+            return Err(Error::BadSchedulerInput("step references a missing layer"));
         }
         covered[l] = true;
-        let lp = layer(l);
+        let lp = &input.layers[l];
         let need = lp.full_param_bytes + lp.working_set + base.get(j).copied().unwrap_or(0);
-        if need > budget {
+        if need > input.gpu_budget {
             return Err(Error::WorkingSetTooLarge {
                 layer_bytes: need,
-                gpu_bytes: budget,
+                gpu_bytes: input.gpu_budget,
             });
         }
     }
     if covered.iter().any(|&c| !c) {
-        return Err(Error::BadReplanDelta("a layer has no compute step"));
+        return Err(Error::BadSchedulerInput("a layer has no compute step"));
     }
     Ok(())
 }
@@ -847,17 +554,15 @@ fn gather_bundle(input: &SchedulerInput, step: usize, t: usize, out: &mut Vec<Sc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::oracle;
+    use crate::scheduler::{oracle, LayerPlan, StepKind};
 
     /// A jagged toy model: per-layer page lists of different shapes so the
-    /// delta machinery sees non-uniform runs.
+    /// session sees non-uniform runs.
     fn jagged(budget: u64) -> SchedulerInput {
         let shapes: &[&[u64]] = &[&[10, 10, 10], &[25], &[5, 5, 5, 5], &[0, 12, 8]];
         let layers = shapes
             .iter()
-            .enumerate()
-            .map(|(l, pages)| LayerPlan {
-                layer: l,
+            .map(|pages| LayerPlan {
                 shard_pages: pages.to_vec(),
                 full_param_bytes: pages.iter().sum::<u64>() * 2,
                 working_set: 7,
@@ -867,8 +572,15 @@ mod tests {
             layers,
             steps: SchedulerInput::default_steps(shapes.len()),
             gpu_budget: budget,
-            page_size: 16,
             step_base_load: Vec::new(),
+        }
+    }
+
+    /// The session's current input with its budget set to `budget`.
+    fn with_budget(p: &Planner, budget: u64) -> SchedulerInput {
+        SchedulerInput {
+            gpu_budget: budget,
+            ..p.input().clone()
         }
     }
 
@@ -895,7 +607,7 @@ mod tests {
     fn empty_delta_is_identity_and_patches_nothing() {
         let mut p = Planner::new(UnifiedScheduler::default(), jagged(120)).unwrap();
         let before = p.schedule().clone();
-        let out = p.replan(&ReplanDelta::default()).unwrap();
+        let out = p.replan(&jagged(120)).unwrap();
         assert!(out.patched_in_place);
         assert_eq!(out.layers_reused, p.input().layers.len());
         assert_eq!(p.schedule(), &before);
@@ -905,37 +617,37 @@ mod tests {
     #[test]
     fn single_layer_delta_matches_full_replan() {
         let mut p = Planner::new(UnifiedScheduler::default(), jagged(120)).unwrap();
-        let mut lp = p.input().layers[2].clone();
+        let mut next = p.input().clone();
+        let lp = &mut next.layers[2];
         lp.working_set = 40;
         lp.shard_pages = vec![9, 9, 9, 9, 9];
         lp.full_param_bytes = 45;
-        p.replan(&ReplanDelta::layer(2, lp)).unwrap();
+        let out = p.replan(&next).unwrap();
+        assert_eq!(out.layers_touched, 1);
         assert_matches(&p);
     }
 
     #[test]
     fn ws_increase_fast_path_stays_identical_and_session_coherent() {
         let mut p = Planner::new(UnifiedScheduler::default(), jagged(200)).unwrap();
-        // A small pure working-set increase: the slack fast path's shape.
-        let mut lp = p.input().layers[1].clone();
-        lp.working_set += 3;
-        let out = p.replan(&ReplanDelta::layer(1, lp)).unwrap();
-        assert!(out.patched_in_place);
-        assert_eq!(out.layers_reused, 3);
+        // A small pure working-set increase (an activation re-estimate).
+        let mut next = p.input().clone();
+        next.layers[1].working_set += 3;
+        p.replan(&next).unwrap();
         assert_matches(&p);
-        // A following slow-path replan starts from the patched input …
-        p.replan(&ReplanDelta::capacity(120)).unwrap();
+        // A following capacity replan starts from the bumped input …
+        p.replan(&with_budget(&p, 120)).unwrap();
         assert_matches(&p);
-        // … and a decrease (slow path by construction) still matches.
-        let mut lp = p.input().layers[1].clone();
-        lp.working_set -= 2;
-        p.replan(&ReplanDelta::layer(1, lp)).unwrap();
+        // … and a decrease still matches.
+        let mut next = p.input().clone();
+        next.layers[1].working_set -= 2;
+        p.replan(&next).unwrap();
         assert_matches(&p);
-        // A bump past any plausible margin falls back and still matches
-        // (layer 0 then needs 107 of the 120-byte budget at its steps).
-        let mut lp = p.input().layers[0].clone();
-        lp.working_set += 40;
-        p.replan(&ReplanDelta::layer(0, lp)).unwrap();
+        // So does a bump that leaves little room (layer 0 then needs 107 of
+        // the 120-byte budget at its steps).
+        let mut next = p.input().clone();
+        next.layers[0].working_set += 40;
+        p.replan(&next).unwrap();
         assert_matches(&p);
     }
 
@@ -943,9 +655,9 @@ mod tests {
     fn outage_capacity_delta_matches_full_replan() {
         let mut p = Planner::new(UnifiedScheduler::default(), jagged(200)).unwrap();
         // Degraded headroom: shrink, then elastic recovery: grow back.
-        p.replan(&ReplanDelta::capacity(95)).unwrap();
+        p.replan(&with_budget(&p, 95)).unwrap();
         assert_matches(&p);
-        let out = p.replan(&ReplanDelta::capacity(400)).unwrap();
+        let out = p.replan(&with_budget(&p, 400)).unwrap();
         assert_matches(&p);
         assert!(!out.patched_in_place);
     }
@@ -954,43 +666,29 @@ mod tests {
     fn resize_delta_reshaping_every_shard_matches_full_replan() {
         let mut p = Planner::new(UnifiedScheduler::default(), jagged(150)).unwrap();
         // dp 2x: every shard halves (pages shrink), like an elastic grow.
-        let halved: Vec<LayerPlan> = p
-            .input()
-            .layers
-            .iter()
-            .map(|l| LayerPlan {
-                layer: l.layer,
-                shard_pages: l.shard_pages.iter().map(|b| b / 2).collect(),
-                full_param_bytes: l.full_param_bytes,
-                working_set: l.working_set,
-            })
-            .collect();
-        p.replan(&ReplanDelta {
-            replace_layers: Some(halved),
-            ..ReplanDelta::default()
-        })
-        .unwrap();
+        let mut next = p.input().clone();
+        for l in &mut next.layers {
+            for b in &mut l.shard_pages {
+                *b /= 2;
+            }
+        }
+        p.replan(&next).unwrap();
         assert_matches(&p);
     }
 
     #[test]
     fn layer_count_change_requires_steps_and_works_with_them() {
         let mut p = Planner::new(UnifiedScheduler::default(), jagged(150)).unwrap();
-        let three: Vec<LayerPlan> = p.input().layers[..3].to_vec();
-        let err = p
-            .replan(&ReplanDelta {
-                replace_layers: Some(three.clone()),
-                ..ReplanDelta::default()
-            })
-            .unwrap_err();
-        assert!(matches!(err, Error::BadReplanDelta(_)));
-        assert_matches(&p); // rejected delta left the session intact
-        p.replan(&ReplanDelta {
-            replace_layers: Some(three),
-            steps: Some(SchedulerInput::default_steps(3)),
-            ..ReplanDelta::default()
-        })
-        .unwrap();
+        // Dropping a layer but keeping the old step list leaves steps that
+        // name the missing layer: a typed error, and the session intact.
+        let mut next = p.input().clone();
+        next.layers.truncate(3);
+        let err = p.replan(&next).unwrap_err();
+        assert!(matches!(err, Error::BadSchedulerInput(_)));
+        assert_eq!(p.input(), &jagged(150));
+        assert_matches(&p);
+        next.steps = SchedulerInput::default_steps(3);
+        p.replan(&next).unwrap();
         assert_matches(&p);
     }
 
@@ -998,14 +696,10 @@ mod tests {
     fn step_list_delta_matches_full_replan() {
         let mut p = Planner::new(UnifiedScheduler::default(), jagged(150)).unwrap();
         // A degraded iteration: layer 1 recomputed twice in the backward.
-        let mut steps = SchedulerInput::default_steps(4);
-        steps.push(StepKind::Backward(1));
-        steps.insert(2, StepKind::Forward(1));
-        p.replan(&ReplanDelta {
-            steps: Some(steps),
-            ..ReplanDelta::default()
-        })
-        .unwrap();
+        let mut next = p.input().clone();
+        next.steps.push(StepKind::Backward(1));
+        next.steps.insert(2, StepKind::Forward(1));
+        p.replan(&next).unwrap();
         assert_matches(&p);
     }
 
@@ -1013,60 +707,62 @@ mod tests {
     fn infeasible_delta_leaves_previous_plan_live() {
         let mut p = Planner::new(UnifiedScheduler::default(), jagged(150)).unwrap();
         let before = p.schedule().clone();
-        let err = p.replan(&ReplanDelta::capacity(10)).unwrap_err();
+        let err = p.replan(&with_budget(&p, 10)).unwrap_err();
         assert!(matches!(err, Error::WorkingSetTooLarge { .. }));
         assert_eq!(p.schedule(), &before);
         assert_eq!(p.input().gpu_budget, 150);
         assert_matches(&p);
         // And the session still replans fine afterwards.
-        p.replan(&ReplanDelta::capacity(120)).unwrap();
+        p.replan(&with_budget(&p, 120)).unwrap();
         assert_matches(&p);
     }
 
     #[test]
-    fn diff_reconstructs_target_input() {
-        let old = jagged(150);
-        let mut new = jagged(95);
-        new.layers[0].shard_pages = vec![4; 7];
-        new.layers[3].working_set = 11;
-        new.step_base_load = (0..new.steps.len() as u64).map(|j| j % 5).collect();
-        let d = ReplanDelta::diff(&old, &new);
-        assert_eq!(d.layers.len(), 2);
-        let mut p = Planner::new(UnifiedScheduler::default(), old).unwrap();
-        p.replan(&d).unwrap();
-        let full = oracle::schedule(&UnifiedScheduler::default(), &new).unwrap();
-        assert_eq!(p.schedule().tasks, full.tasks);
-        assert_eq!(p.schedule().stats, full.stats);
-        assert_eq!(p.schedule().trigger_offsets, full.trigger_offsets);
+    fn mismatched_step_base_load_is_a_typed_error() {
+        // A base load must be empty or cover every step: planning a shorter
+        // one would count the missing steps as zero.
+        let mut bad = jagged(150);
+        bad.step_base_load = vec![3; bad.steps.len() - 1];
+        let is_bad_input = |r: Result<_>| matches!(r, Err(Error::BadSchedulerInput(_)));
+        assert!(is_bad_input(
+            Planner::new(UnifiedScheduler::default(), bad.clone()).map(|_| ())
+        ));
+        assert!(is_bad_input(
+            UnifiedScheduler::default().schedule(&bad).map(|_| ())
+        ));
+        // A live session rejects it too and keeps its previous plan.
+        let mut p = Planner::new(UnifiedScheduler::default(), jagged(150)).unwrap();
+        let before = p.schedule().clone();
+        assert!(is_bad_input(p.replan(&bad).map(|_| ())));
+        assert_eq!(p.schedule(), &before);
+        assert_matches(&p);
+        bad.step_base_load.push(3);
+        p.replan(&bad).unwrap();
+        assert_matches(&p);
     }
 
     #[test]
     fn long_replan_sequence_stays_identical() {
-        // Exercise buffer reuse: many deltas through one session.
+        // Exercise buffer reuse: many replans through one session.
         let mut p = Planner::new(UnifiedScheduler::default(), jagged(130)).unwrap();
         for round in 0u64..24 {
-            let d = match round % 4 {
-                0 => ReplanDelta::capacity(95 + (round * 13) % 200),
+            let mut next = p.input().clone();
+            match round % 4 {
+                0 => next.gpu_budget = 95 + (round * 13) % 200,
                 1 => {
-                    let idx = (round as usize / 4) % 4;
-                    let mut lp = p.input().layers[idx].clone();
+                    let lp = &mut next.layers[(round as usize / 4) % 4];
                     lp.working_set = (round * 7) % 30;
                     lp.shard_pages = (0..(round % 5)).map(|k| 3 + k * 4).collect();
-                    ReplanDelta::layer(idx, lp)
                 }
                 2 => {
-                    let mut steps = SchedulerInput::default_steps(4);
+                    next.steps = SchedulerInput::default_steps(4);
                     if round % 8 == 2 {
-                        steps.push(StepKind::Forward((round as usize) % 4));
-                    }
-                    ReplanDelta {
-                        steps: Some(steps),
-                        ..ReplanDelta::default()
+                        next.steps.push(StepKind::Forward((round as usize) % 4));
                     }
                 }
-                _ => ReplanDelta::default(),
-            };
-            match p.replan(&d) {
+                _ => {}
+            }
+            match p.replan(&next) {
                 Ok(out) => {
                     assert!(out.layers_touched + out.layers_reused <= p.input().layers.len());
                     assert_matches(&p);
@@ -1081,7 +777,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::scheduler::oracle;
+    use crate::scheduler::{oracle, LayerPlan, StepKind};
     use proptest::prelude::*;
 
     /// Abstract mutations, resolved against the *current* input at apply
@@ -1102,12 +798,14 @@ mod proptests {
         Steps { extra: Vec<(usize, usize, bool)> },
         /// Base-load change (None clears it).
         Base(Option<u64>),
-        /// Pure working-set increase on one layer — the shape the slack
-        /// fast path certifies; falls back to the slow path when the
-        /// recorded margins are too tight, so both paths get hit.
+        /// A base load whose length is neither 0 nor the step count: always
+        /// rejected with a typed error.
+        BadBase { raw: usize },
+        /// Pure working-set increase on one layer (an activation
+        /// re-estimate).
         WsBump { raw: usize, d: u64 },
-        /// Elastic resize: wholesale layer replacement, possibly changing
-        /// the layer count.
+        /// Elastic resize: every layer replaced, possibly changing the layer
+        /// count.
         Resize(Vec<(Vec<u64>, u64, u64)>),
     }
 
@@ -1129,6 +827,7 @@ mod proptests {
             proptest::collection::vec((any::<usize>(), any::<usize>(), any::<bool>()), 0..4)
                 .prop_map(|extra| Mutation::Steps { extra }),
             (any::<bool>(), 1u64..20).prop_map(|(some, k)| Mutation::Base(some.then_some(k))),
+            any::<usize>().prop_map(|raw| Mutation::BadBase { raw }),
             (any::<usize>(), 0u64..50).prop_map(|(raw, d)| Mutation::WsBump { raw, d }),
             proptest::collection::vec(
                 (
@@ -1142,8 +841,20 @@ mod proptests {
         ]
     }
 
-    fn to_delta(m: &Mutation, cur: &SchedulerInput) -> ReplanDelta {
+    /// The base load `cur` carries, fitted to `steps` new steps: kept
+    /// entries, 0 for appended steps, and still empty when it was empty.
+    fn refit_base(cur: &SchedulerInput, steps: usize) -> Vec<u64> {
+        let mut base = cur.step_base_load.clone();
+        if !base.is_empty() {
+            base.resize(steps, 0);
+        }
+        base
+    }
+
+    /// The input `m` turns `cur` into.
+    fn next_input(m: &Mutation, cur: &SchedulerInput) -> SchedulerInput {
         let n = cur.layers.len();
+        let mut next = cur.clone();
         match m {
             Mutation::Layer {
                 raw,
@@ -1151,18 +862,13 @@ mod proptests {
                 full,
                 ws,
             } => {
-                let idx = raw % n;
-                ReplanDelta::layer(
-                    idx,
-                    LayerPlan {
-                        layer: idx,
-                        shard_pages: pages.clone(),
-                        full_param_bytes: *full,
-                        working_set: *ws,
-                    },
-                )
+                next.layers[raw % n] = LayerPlan {
+                    shard_pages: pages.clone(),
+                    full_param_bytes: *full,
+                    working_set: *ws,
+                };
             }
-            Mutation::Budget(b) => ReplanDelta::capacity(*b),
+            Mutation::Budget(b) => next.gpu_budget = *b,
             Mutation::Steps { extra } => {
                 let mut steps = SchedulerInput::default_steps(n);
                 for (pos, l, fwd) in extra {
@@ -1173,66 +879,38 @@ mod proptests {
                     };
                     steps.insert(pos % (steps.len() + 1), s);
                 }
-                ReplanDelta {
-                    steps: Some(steps),
-                    ..ReplanDelta::default()
-                }
+                next.step_base_load = refit_base(cur, steps.len());
+                next.steps = steps;
             }
-            Mutation::WsBump { raw, d } => {
-                let idx = raw % n;
-                let mut lp = cur.layers[idx].clone();
-                lp.working_set += d;
-                ReplanDelta::layer(idx, lp)
-            }
-            Mutation::Base(seed) => ReplanDelta {
-                step_base_load: Some(match seed {
+            Mutation::WsBump { raw, d } => next.layers[raw % n].working_set += d,
+            Mutation::Base(seed) => {
+                next.step_base_load = match seed {
                     Some(k) => (0..cur.steps.len() as u64).map(|j| (j * k) % 31).collect(),
                     None => Vec::new(),
-                }),
-                ..ReplanDelta::default()
-            },
+                };
+            }
+            Mutation::BadBase { raw } => {
+                let steps = cur.steps.len();
+                let len = match 1 + raw % (2 * steps) {
+                    len if len == steps => steps + 1,
+                    len => len,
+                };
+                next.step_base_load = (0..len as u64).map(|j| (j * 7) % 23).collect();
+            }
             Mutation::Resize(shapes) => {
-                let layers: Vec<LayerPlan> = shapes
+                next.layers = shapes
                     .iter()
-                    .enumerate()
-                    .map(|(l, (pages, full, ws))| LayerPlan {
-                        layer: l,
+                    .map(|(pages, full, ws)| LayerPlan {
                         shard_pages: pages.clone(),
                         full_param_bytes: *full,
                         working_set: *ws,
                     })
                     .collect();
-                let steps = SchedulerInput::default_steps(layers.len());
-                ReplanDelta {
-                    replace_layers: Some(layers),
-                    steps: Some(steps),
-                    ..ReplanDelta::default()
-                }
+                next.steps = SchedulerInput::default_steps(shapes.len());
+                next.step_base_load = refit_base(cur, next.steps.len());
             }
         }
-    }
-
-    /// Mirror of the planner's delta application, kept independent so the
-    /// test's expected input cannot share planner bugs.
-    fn apply(input: &mut SchedulerInput, d: &ReplanDelta) {
-        if let Some(rl) = &d.replace_layers {
-            input.layers = rl.clone();
-        }
-        for (i, lp) in &d.layers {
-            input.layers[*i] = lp.clone();
-        }
-        if let Some(s) = &d.steps {
-            input.steps = s.clone();
-        }
-        if let Some(b) = &d.step_base_load {
-            input.step_base_load = b.clone();
-        }
-        if let Some(b) = d.gpu_budget {
-            input.gpu_budget = b;
-        }
-        if let Some(p) = d.page_size {
-            input.page_size = p;
-        }
+        next
     }
 
     fn base_input_strategy() -> impl Strategy<Value = (SchedulerInput, UnifiedScheduler)> {
@@ -1254,9 +932,7 @@ mod proptests {
                 let n = layers.len();
                 let layers: Vec<LayerPlan> = layers
                     .into_iter()
-                    .enumerate()
-                    .map(|(l, (pages, full, ws))| LayerPlan {
-                        layer: l,
+                    .map(|(pages, full, ws)| LayerPlan {
                         shard_pages: pages,
                         full_param_bytes: full,
                         working_set: ws,
@@ -1273,7 +949,6 @@ mod proptests {
                         layers,
                         steps,
                         gpu_budget: budget,
-                        page_size: 16,
                         step_base_load,
                     },
                     UnifiedScheduler {
@@ -1287,11 +962,11 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
-        /// Random mutation sequences (outage / permanent / resize deltas):
-        /// after every accepted delta the session's schedule is
-        /// byte-identical to the per-page oracle's plan of the mutated
-        /// input, and a rejected delta leaves the session byte-identical to
-        /// the previous input's plan.
+        /// Random mutation sequences (outage / permanent / resize inputs):
+        /// after every accepted input the session's schedule is
+        /// byte-identical to the per-page oracle's plan of that input, and
+        /// a rejected input leaves the session byte-identical to the
+        /// previous input's plan.
         #[test]
         fn incremental_replan_matches_from_scratch(
             (mut input, sched) in base_input_strategy(),
@@ -1307,11 +982,13 @@ mod proptests {
                 }
             };
             for m in &muts {
-                let d = to_delta(m, planner.input());
-                let mut cand = input.clone();
-                apply(&mut cand, &d);
-                match planner.replan(&d) {
+                let cand = next_input(m, planner.input());
+                match planner.replan(&cand) {
                     Ok(_) => {
+                        prop_assert!(
+                            !matches!(m, Mutation::BadBase { .. }),
+                            "planner accepted a mismatched base load"
+                        );
                         input = cand;
                         let full = oracle::schedule(&sched, &input);
                         let full = match full {
@@ -1341,6 +1018,24 @@ mod proptests {
                             }
                         };
                         prop_assert_eq!(&planner.schedule().tasks, &full.tasks);
+                    }
+                    Err(Error::BadSchedulerInput(_)) if matches!(m, Mutation::BadBase { .. }) => {
+                        // The typed rejection leaves the session on the
+                        // previous input's plan.
+                        prop_assert_eq!(planner.input(), &input);
+                        let full = match oracle::schedule(&sched, &input) {
+                            Ok(s) => s,
+                            Err(e) => {
+                                return Err(TestCaseError::Fail(
+                                    format!("previous input became infeasible: {e}")));
+                            }
+                        };
+                        prop_assert_eq!(&planner.schedule().tasks, &full.tasks);
+                        prop_assert_eq!(planner.schedule().stats, full.stats);
+                        prop_assert_eq!(
+                            &planner.schedule().trigger_offsets,
+                            &full.trigger_offsets
+                        );
                     }
                     Err(e) => {
                         return Err(TestCaseError::Fail(format!("unexpected error: {e}")));

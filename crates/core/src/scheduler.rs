@@ -26,7 +26,7 @@
 //! planned across both passes.
 //!
 //! This module holds the schedule data model, the scheduler configuration
-//! and the residency timeline ([`TimelineState`]). The decision phases
+//! and the residency timeline (`TimelineState`). The decision phases
 //! themselves run in exactly one place, the [`crate::replan::Planner`]
 //! session; [`UnifiedScheduler::schedule`] is a one-shot session.
 //!
@@ -92,10 +92,10 @@ pub struct ScheduleTask {
     pub trigger_id: usize,
 }
 
-/// Per-layer scheduling input distilled from the Tracer.
+/// Per-layer scheduling input distilled from the Tracer. A layer's index is
+/// its position in [`SchedulerInput::layers`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LayerPlan {
-    pub layer: usize,
     /// Byte sizes of the pages of this rank's parameter shard (FP16 params
     /// only — optimizer states stay on CPU/SSD per the Section 4.2 placement
     /// heuristic unless cached separately).
@@ -113,17 +113,17 @@ impl LayerPlan {
     }
 }
 
-/// Scheduler input: the model plan, the compute-step list, the GPU byte
-/// budget available to model states, and the page size.
+/// Scheduler input: the model plan, the compute-step list and the GPU byte
+/// budget available to model states.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchedulerInput {
     pub layers: Vec<LayerPlan>,
     pub steps: Vec<StepKind>,
     pub gpu_budget: u64,
-    pub page_size: u64,
     /// Extra GPU bytes pinned at each step independent of this schedule's
     /// decisions — e.g. accumulated activations of *other* layers when
-    /// recomputation is off. Empty = zero everywhere.
+    /// recomputation is off. Empty = zero everywhere; otherwise one entry
+    /// per step.
     pub step_base_load: Vec<u64>,
 }
 
@@ -280,7 +280,7 @@ impl TimelineState {
     /// Re-arm for a fresh plan over `input`, reusing every allocation. The
     /// step-derived structures (per-layer step lists, bitmaps, last uses)
     /// are only rebuilt when `steps_changed` says the step list differs from
-    /// the previous reset — layer/budget deltas skip that entire pass.
+    /// the previous reset — layer/budget changes skip that entire pass.
     pub(crate) fn reset(&mut self, input: &SchedulerInput, steps_changed: bool) {
         let n_steps = input.steps.len();
         let n_layers = input.layers.len();
@@ -348,20 +348,6 @@ impl TimelineState {
     /// Whether step `j` computes layer `l` (O(1) bitmap lookup).
     pub(crate) fn is_own_step(&self, l: usize, j: usize) -> bool {
         self.own_bits[l * self.words + j / 64] >> (j % 64) & 1 == 1
-    }
-
-    /// The compute steps of layer `l`, ascending.
-    pub(crate) fn steps_of(&self, l: usize) -> &[usize] {
-        &self.steps_of_layer[l]
-    }
-
-    /// Grow the planned total at layer `l`'s own compute steps by `d` bytes
-    /// — the planner's slack fast path committing a working-set-only
-    /// increase without re-running decisions.
-    pub(crate) fn nudge_own_steps(&mut self, l: usize, d: u64) {
-        for &s in &self.steps_of_layer[l] {
-            self.mem.add(s, s, d as i64);
-        }
     }
 
     /// The planned total at step `i` (the phase-1 fit check's read).
@@ -449,18 +435,11 @@ impl TimelineState {
     /// so the stop point is the latest step in `[floor, g−1]` already above
     /// `budget − extra` — one segment-tree descent instead of a per-step
     /// walk.
-    ///
-    /// Each fired advance also records the span it occupied and the minimum
-    /// byte margin by which the stop condition held across that span:
-    /// `(new_g, g − 1, margin)`. A later increase of `≤ margin` bytes at any
-    /// single step inside the span provably leaves this advance's stop point
-    /// unchanged — the evidence the planner's slack fast path runs on.
     pub(crate) fn advance_gather(
         &mut self,
         input: &SchedulerInput,
         i: usize,
         horizon: usize,
-        spans: &mut Vec<(usize, usize, u64)>,
     ) -> bool {
         let l = input.steps[i].layer();
         let extra = input.layers[l]
@@ -483,12 +462,6 @@ impl TimelineState {
         if new_g < g {
             self.mem.add(new_g, g - 1, extra as i64);
             self.gather_trigger[i] = new_g;
-            // Every step in [new_g, g−1] sat at ≤ threshold before the add,
-            // i.e. at ≤ budget after it; the span max after the add bounds
-            // how close the tightest step came.
-            let span_max = self.mem.max_in(new_g, g - 1).unwrap_or(0);
-            let margin = input.gpu_budget.saturating_sub(span_max);
-            spans.push((new_g, g - 1, margin));
             true
         } else {
             false
@@ -507,8 +480,9 @@ impl UnifiedScheduler {
     /// cannot run even with an empty GPU (gathered parameters + working set
     /// exceed the budget) — the condition under which the paper's system is
     /// also out of options without shrinking the batch — and with
-    /// [`crate::Error::BadReplanDelta`] on a malformed input (empty model, a
-    /// step naming a missing layer, a layer without a compute step).
+    /// [`crate::Error::BadSchedulerInput`] on a malformed input (empty model,
+    /// a base load whose length is neither 0 nor the step count, a step
+    /// naming a missing layer, a layer without a compute step).
     pub fn schedule(&self, input: &SchedulerInput) -> Result<Schedule> {
         Planner::new(self.clone(), input.clone()).map(Planner::into_schedule)
     }
@@ -788,19 +762,15 @@ mod tests {
         ws: u64,
         budget: u64,
     ) -> SchedulerInput {
-        let layers = (0..n)
-            .map(|l| LayerPlan {
-                layer: l,
-                shard_pages: vec![page_bytes; pages_per_layer],
-                full_param_bytes: page_bytes * pages_per_layer as u64,
-                working_set: ws,
-            })
-            .collect();
+        let layer = LayerPlan {
+            shard_pages: vec![page_bytes; pages_per_layer],
+            full_param_bytes: page_bytes * pages_per_layer as u64,
+            working_set: ws,
+        };
         SchedulerInput {
-            layers,
+            layers: vec![layer; n],
             steps: SchedulerInput::default_steps(n),
             gpu_budget: budget,
-            page_size: page_bytes,
             step_base_load: Vec::new(),
         }
     }
@@ -879,12 +849,11 @@ mod tests {
             layers: Vec::new(),
             steps: Vec::new(),
             gpu_budget: 100,
-            page_size: 10,
             step_base_load: Vec::new(),
         };
         assert!(matches!(
             UnifiedScheduler::default().schedule(&input),
-            Err(Error::BadReplanDelta("empty model"))
+            Err(Error::BadSchedulerInput("empty model"))
         ));
     }
 
@@ -1203,9 +1172,7 @@ mod proptests {
                 let n = layers.len();
                 let layers: Vec<LayerPlan> = layers
                     .into_iter()
-                    .enumerate()
-                    .map(|(l, (pages, full, ws))| LayerPlan {
-                        layer: l,
+                    .map(|(pages, full, ws)| LayerPlan {
                         shard_pages: pages,
                         full_param_bytes: full,
                         working_set: ws,
@@ -1222,7 +1189,6 @@ mod proptests {
                         layers,
                         steps,
                         gpu_budget: budget,
-                        page_size: 16,
                         step_base_load,
                     },
                     UnifiedScheduler {

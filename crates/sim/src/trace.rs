@@ -10,7 +10,7 @@
 //!
 //! Thread ids: the *one* authoritative mapping from a resource to its
 //! Perfetto `tid` is [`resource_tid`]. Both the thread-name metadata (built
-//! from [`Resources::iter`]) and the per-task `X` events go through it, so
+//! from [`crate::Resources::iter`]) and the per-task `X` events go through it, so
 //! the two can never disagree — previously the metadata used a separate
 //! `enumerate()` index that was equal only by construction.
 
